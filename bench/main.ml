@@ -127,25 +127,6 @@ let bench_fsim_serial =
            (fun _ fault -> ignore (Bist_fault.Fsim.detects s27 fault s27_t0))
            s27_universe))
 
-(* Event-driven vs levelized good-machine simulation on a hold-heavy
-   sequence (the event engine's favourable case). *)
-let hold_seq =
-  lazy
-    (let rng = Bist_util.Rng.create 1 in
-     let width = Bist_circuit.Netlist.num_inputs x298 in
-     let v = Bist_logic.Vector.random_binary rng width in
-     Bist_logic.Tseq.of_vectors (Array.make 256 v))
-
-let bench_sim_levelized =
-  Test.make ~name:"sim_levelized_hold_x298"
-    (Staged.stage (fun () ->
-         ignore (Bist_sim.Seq_sim.run x298 (Lazy.force hold_seq))))
-
-let bench_sim_event =
-  Test.make ~name:"sim_event_hold_x298"
-    (Staged.stage (fun () ->
-         ignore (Bist_sim.Event_sim.run x298 (Lazy.force hold_seq))))
-
 let all_micro =
   [
     bench_table1; bench_table2; bench_table3; bench_table4_proc1;
@@ -154,7 +135,7 @@ let all_micro =
     bench_ablation_fault_order `Min_udet "ablation_order_min_udet";
     bench_ablation_fault_order `Random "ablation_order_random";
     bench_ablation_omission; bench_ablation_operators; bench_fsim_parallel;
-    bench_fsim_serial; bench_sim_levelized; bench_sim_event;
+    bench_fsim_serial;
   ]
 
 let run_micro () =
@@ -395,21 +376,24 @@ let run_json ?(sat = true) ~jobs ~trace ~stats path =
   | None -> ());
   if stats then prerr_string (Bist_obs.Obs.summary obs);
   let record_json =
+    let esc = Bist_obs.Trace.escape_json in
     let benches =
       records
       |> List.map (fun r ->
              let phases =
                r.phases
-               |> List.map (fun (name, s) -> Printf.sprintf "%S: %.6f" name s)
+               |> List.map (fun (name, s) ->
+                      Printf.sprintf "\"%s\": %.6f" (esc name) s)
                |> String.concat ", "
              in
              Printf.sprintf
-               "    { \"bench\": %S, \"circuit\": %S, \"faults\": %d, \
+               "    { \"bench\": \"%s\", \"circuit\": \"%s\", \"faults\": %d, \
                 \"seq_len\": %d, \"seconds_seq\": %.6f, \"seconds_par\": %.6f, \
                 \"speedup\": %.4f, \"seconds_instrumented\": %.6f, \
                 \"identical\": %b,\n\
                \      \"phases\": { %s } }"
-               r.bench r.circuit r.faults r.seq_len r.seconds_seq r.seconds_par
+               (esc r.bench) (esc r.circuit) r.faults r.seq_len r.seconds_seq
+               r.seconds_par
                (r.seconds_seq /. r.seconds_par) r.seconds_instrumented
                r.identical phases)
       |> String.concat ",\n"

@@ -225,22 +225,7 @@ let pp fmt r =
   Format.fprintf fmt "%s: %d error(s), %d warning(s), %d info(s)@." r.circuit
     (errors r) (warnings r) (infos r)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string s = "\"" ^ Bist_obs.Trace.escape_json s ^ "\""
 
 let to_json r =
   let finding f =

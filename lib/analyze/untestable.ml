@@ -303,10 +303,7 @@ let exact_prescreen ?(obs = Bist_obs.Obs.null) ?ctl
               ~width:(Netlist.num_inputs circuit)
               ~length:config.refute_length
           in
-          let outcome =
-            Bist_fault.Fsim.run ~obs ?ctl ~targets ~stop_when_all_detected:true
-              u seq
-          in
+          let outcome = Bist_fault.Fsim.run ~obs ?ctl ~targets u seq in
           Bitset.union_into refuted outcome.Bist_fault.Fsim.detected;
           Bitset.diff_into targets outcome.Bist_fault.Fsim.detected
         end

@@ -8,7 +8,7 @@ type report = {
 }
 
 let evaluate universe ~t0 =
-  let outcome = Bist_fault.Fsim.run ~stop_when_all_detected:true universe t0 in
+  let outcome = Bist_fault.Fsim.run universe t0 in
   let len = Bist_logic.Tseq.length t0 in
   let width = Bist_logic.Tseq.width t0 in
   let detected = Bist_util.Bitset.cardinal outcome.Bist_fault.Fsim.detected in

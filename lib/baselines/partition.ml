@@ -14,7 +14,7 @@ type report = {
 let evaluate universe ~t0 ~block =
   if block < 1 then invalid_arg "Partition.evaluate: block must be >= 1";
   let len = Tseq.length t0 in
-  let reference = (Fsim.run ~stop_when_all_detected:true universe t0).Fsim.detected in
+  let reference = (Fsim.run universe t0).Fsim.detected in
   (* Nominal blocks: [lo, hi] windows of T0. *)
   let nominal =
     let rec go lo acc =
@@ -30,9 +30,7 @@ let evaluate universe ~t0 ~block =
      order, maintaining the still-uncovered fault set; a block must cover
      whatever faults T0 first detects inside its window. *)
   let detected_by lo hi =
-    (Fsim.run ~targets:reference ~stop_when_all_detected:true universe
-       (Tseq.sub t0 ~lo ~hi))
-      .Fsim.detected
+    (Fsim.run ~targets:reference universe (Tseq.sub t0 ~lo ~hi)).Fsim.detected
   in
   let remaining = Bitset.copy reference in
   let finalize (lo, hi) =
@@ -40,7 +38,9 @@ let evaluate universe ~t0 ~block =
     let lo = ref lo in
     (* The faults this block must deliver: those T0 detects by time hi
        that are still missing. Extend until they are all present. *)
-    let ref_outcome = Fsim.run ~targets:remaining ~stop_when_all_detected:true universe (Tseq.sub t0 ~lo:0 ~hi) in
+    let ref_outcome =
+      Fsim.run ~targets:remaining universe (Tseq.sub t0 ~lo:0 ~hi)
+    in
     let due = ref_outcome.Fsim.detected in
     let missing () =
       let m = Bitset.copy due in

@@ -57,10 +57,7 @@ let run ?(passes = default_passes) ?(operators = Ops.all_operators)
       let exp = Ops.expand_with ~operators ~n it.seq in
       time_units :=
         !time_units + (Tseq.length exp * ((Bitset.cardinal remaining + 61) / 62));
-      let outcome =
-        Fsim.run ~obs ~targets:remaining ~stop_when_all_detected:true universe
-          exp
-      in
+      let outcome = Fsim.run ~obs ~targets:remaining universe exp in
       let detected = outcome.Fsim.detected in
       let count = Bitset.cardinal detected in
       if count = 0 then it.active <- false

@@ -16,7 +16,7 @@ type run = {
   expanded_total_length : int;
       (** Total at-speed test length: 8·n·(after total) for the full
           operator set ("test len" in Table 5). *)
-  proc1_seconds : float;
+  proc1_seconds : float;  (** Wall-clock seconds, as are the next two. *)
   compaction_seconds : float;
   simulate_t0_seconds : float;  (** Fault-simulating T0 once — the paper's
                                     normalization unit for Table 4. *)
@@ -42,6 +42,16 @@ val execute :
     ["scheme.compaction"] and ["scheme.verify"] spans, with the
     per-target, per-pass and per-shard spans of the callees nested
     inside. *)
+
+val verify_coverage :
+  operators:Ops.operator list ->
+  n:int ->
+  Bist_fault.Universe.t ->
+  Bist_util.Bitset.t ->
+  Bist_logic.Tseq.t list ->
+  bool
+(** [verify_coverage ~operators ~n universe targets seqs]: whether the
+    expansions of [seqs] together detect every fault of [targets]. *)
 
 val better : run -> run -> run
 (** The paper's best-[n] rule: smaller maximum stored length, then

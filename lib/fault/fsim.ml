@@ -10,89 +10,26 @@ type outcome = {
   detected : Bitset.t;
 }
 
-type impl = Impl_ppsfp | Impl_packed
-
-let impl_warned = ref false
-
-let impl_of_env () =
-  match Sys.getenv_opt "BIST_FSIM" with
-  | None | Some "" | Some "ppsfp" -> Impl_ppsfp
-  | Some "packed" -> Impl_packed
-  | Some other ->
-    if not !impl_warned then begin
-      impl_warned := true;
-      Printf.eprintf "bist: ignoring BIST_FSIM=%S (expected \"ppsfp\" or \"packed\")\n%!"
-        other
-    end;
-    Impl_ppsfp
-
 let faults_per_pass = 62 (* 63 lanes minus the fault-free lane 0 *)
 
 let install sim fault ~lane =
-  let mask = 1 lsl lane in
-  match (fault : Fault.t) with
-  | { site = Fault.Output n; stuck } -> Packed_sim.add_output_force sim n ~mask stuck
-  | { site = Fault.Pin { gate; pin }; stuck } ->
-    Packed_sim.add_pin_force sim ~gate ~pin ~mask stuck
-
-(* One sequential pass over a slice of the universe, writing detection
-   times positionally ([det_local.(i)] belongs to fault [ids.(i)]). The
-   simulator instance is created here, inside the worker, so parallel
-   shards never share mutable simulation state. A fault's detection time
-   does not depend on which other faults share its 63-lane pass, so any
-   slicing of the canonical id order yields the same times. *)
-let run_ids_packed ?ctl ~stop_when_all_detected universe seq ids =
-  let circuit = Universe.circuit universe in
-  let k = Array.length ids in
-  let det_local = Array.make k (-1) in
-  let sim = Packed_sim.create circuit in
-  let n_groups = (k + faults_per_pass - 1) / faults_per_pass in
-  for g = 0 to n_groups - 1 do
-    (* Safe point between 63-fault groups: nothing partial is committed,
-       a preempted shard just raises out through the pool. *)
-    Bist_resilience.Ctl.poll ctl;
-    let base = g * faults_per_pass in
-    let group_size = min faults_per_pass (k - base) in
-    Packed_sim.clear_forces sim;
-    Packed_sim.reset sim;
-    for j = 0 to group_size - 1 do
-      install sim (Universe.get universe ids.(base + j)) ~lane:(j + 1)
-    done;
-    (* [live] = lanes of not-yet-detected faults in this group. *)
-    let live = ref (((1 lsl group_size) - 1) lsl 1) in
-    let u = ref 0 in
-    let len = Tseq.length seq in
-    while !u < len && (not stop_when_all_detected || !live <> 0) do
-      Packed_sim.step sim (Tseq.get seq !u);
-      let newly = Packed_sim.po_diff_lanes sim land !live in
-      if newly <> 0 then begin
-        for j = 0 to group_size - 1 do
-          if newly land (1 lsl (j + 1)) <> 0 then det_local.(base + j) <- !u
-        done;
-        live := !live land lnot newly
-      end;
-      incr u
-    done
-  done;
-  det_local
-
-let install_ppsfp sim fault ~lane =
   let mask = 1 lsl lane in
   match (fault : Fault.t) with
   | { site = Fault.Output n; stuck } -> Ppsfp.add_output_force sim n ~mask stuck
   | { site = Fault.Pin { gate; pin }; stuck } ->
     Ppsfp.add_pin_force sim ~gate ~pin ~mask stuck
 
-(* The PPSFP pass. Same positional contract as [run_ids_packed] and
-   bit-identical detection times: the fault-free machine comes from a
-   per-worker trace (lane 0 of the packed pass is the same machine, so
-   values cannot disagree), a detected fault's lanes are dropped on the
-   spot (its detection time is already fixed, and lanes are independent
-   bitwise, so the remaining lanes are unaffected), and a group ends as
-   soon as all its lanes have been detected — which never changes any
-   recorded time, so [stop_when_all_detected] has nothing left to do
-   here. *)
-let run_ids_ppsfp ?ctl universe seq ids =
+(* One pass over a slice of the universe, writing detection times
+   positionally ([det_local.(i)] belongs to fault [ids.(i)]). The
+   simulator and its fault-free trace are created here, inside the
+   worker, so parallel shards never share mutable simulation state. A
+   fault's detection time does not depend on which other faults share
+   its 62-fault group, so any slicing of the canonical id order yields
+   the same times. A detected fault's lane is dropped on the spot (its
+   time is fixed, and lanes are independent bitwise, so the remaining
+   lanes are unaffected), and a group ends as soon as all its lanes have
+   been detected. *)
+let run_ids ?ctl universe seq ids =
   let circuit = Universe.circuit universe in
   let k = Array.length ids in
   let det_local = Array.make k (-1) in
@@ -101,13 +38,15 @@ let run_ids_ppsfp ?ctl universe seq ids =
   let len = Tseq.length seq in
   let n_groups = (k + faults_per_pass - 1) / faults_per_pass in
   for g = 0 to n_groups - 1 do
+    (* Safe point between groups: nothing partial is committed, a
+       preempted shard just raises out through the pool. *)
     Bist_resilience.Ctl.poll ctl;
     let base = g * faults_per_pass in
     let group_size = min faults_per_pass (k - base) in
     Ppsfp.clear_forces sim;
     Ppsfp.reset sim;
     for j = 0 to group_size - 1 do
-      install_ppsfp sim (Universe.get universe ids.(base + j)) ~lane:(j + 1)
+      install sim (Universe.get universe ids.(base + j)) ~lane:(j + 1)
     done;
     let live = ref (((1 lsl group_size) - 1) lsl 1) in
     let u = ref 0 in
@@ -126,13 +65,8 @@ let run_ids_ppsfp ?ctl universe seq ids =
   done;
   det_local
 
-let run_ids ?ctl ~stop_when_all_detected universe seq ids =
-  match impl_of_env () with
-  | Impl_ppsfp -> run_ids_ppsfp ?ctl universe seq ids
-  | Impl_packed -> run_ids_packed ?ctl ~stop_when_all_detected universe seq ids
-
-let run ?(obs = Obs.null) ?pool ?tune ?ctl ?targets
-    ?(stop_when_all_detected = false) universe seq =
+let run ?(obs = Obs.null) ?pool ?tune ?ctl ?targets ?stop_when_all_detected:_
+    universe seq =
   let n_faults = Universe.size universe in
   let target_ids =
     match targets with
@@ -150,7 +84,7 @@ let run ?(obs = Obs.null) ?pool ?tune ?ctl ?targets
       ~args:(fun () ->
         [ ("faults", string_of_int (Array.length ids));
           ("seq_len", string_of_int (Tseq.length seq)) ])
-      (fun () -> run_ids ?ctl ~stop_when_all_detected universe seq ids)
+      (fun () -> run_ids ?ctl universe seq ids)
   in
   let det_time, detected =
     Bist_parallel.Shard.detections ?pool ?tune
@@ -167,7 +101,11 @@ type single = { sim : Packed_sim.t }
 
 let single circuit fault =
   let sim = Packed_sim.create circuit in
-  install sim fault ~lane:1;
+  let mask = 0b10 (* lane 1; lane 0 is the fault-free machine *) in
+  (match (fault : Fault.t) with
+  | { site = Fault.Output n; stuck } -> Packed_sim.add_output_force sim n ~mask stuck
+  | { site = Fault.Pin { gate; pin }; stuck } ->
+    Packed_sim.add_pin_force sim ~gate ~pin ~mask stuck);
   { sim }
 
 let single_detection_time s seq =

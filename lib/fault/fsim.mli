@@ -6,15 +6,14 @@
     value in the fault-free machine and the opposite binary value in the
     faulty machine at time [u].
 
-    The engine packs the fault-free machine into lane 0 of a packed word
-    and up to 63 faulty machines into the remaining lanes, so one pass
-    over the sequence simulates 63 faults. The default kernel is the
+    {!run} packs the fault-free machine into lane 0 of a packed word and
+    up to 62 faulty machines into the remaining lanes, so one pass over
+    the sequence simulates a group of 62 faults. Its kernel is the
     event-driven {!Bist_sim.Ppsfp} core (shared fault-free trace, fault
-    dropping, quiescent levels skipped); exporting [BIST_FSIM=packed]
-    selects the original full-sweep {!Bist_sim.Packed_sim} kernel
-    instead. Both produce bit-identical outcomes — the differential
-    test suite enforces it — so the variable is purely an escape hatch
-    and an A/B lever for benchmarks. *)
+    dropping, quiescent levels skipped). The single-fault path below
+    runs the full-sweep {!Bist_sim.Packed_sim} kernel. The differential
+    test suite checks {!run} against a {!Bist_sim.Packed_sim} group loop
+    and against scalar simulation of structurally mutated netlists. *)
 
 type outcome = {
   universe : Universe.t;
@@ -35,9 +34,9 @@ val run :
   Bist_logic.Tseq.t ->
   outcome
 (** Simulate every target fault (default: all faults of the universe)
-    under the sequence. With [stop_when_all_detected] (default [false]) a
-    63-fault group stops early once all its targets are detected — use it
-    when only the detected {e set} matters, not detection times.
+    under the sequence. Each 62-fault group stops at its last detection,
+    so [stop_when_all_detected] is ignored: it changes no result and no
+    amount of work.
 
     With [pool] (default: {!Bist_parallel.Pool.from_env}, i.e.
     sequential unless [BIST_JOBS >= 2] is exported) the target faults are
@@ -49,7 +48,7 @@ val run :
     ["fsim.shard"] span per shard, tagged with the executing domain's id
     and the shard's fault count.
 
-    [ctl] (default: none) is polled between 63-fault groups inside every
+    [ctl] (default: none) is polled between 62-fault groups inside every
     shard — including on worker domains — and raises
     {!Bist_resilience.Ctl.Preempted} at that safe point. The caller that
     owns resumable state (engine round, compaction trial) catches it and

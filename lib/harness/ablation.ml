@@ -2,8 +2,6 @@ module Ops = Bist_core.Ops
 module Procedure1 = Bist_core.Procedure1
 module Procedure2 = Bist_core.Procedure2
 module Postprocess = Bist_core.Postprocess
-module Bitset = Bist_util.Bitset
-module Fsim = Bist_fault.Fsim
 
 type variant = {
   label : string;
@@ -49,20 +47,6 @@ type row = {
   covers : bool;
 }
 
-let covers universe ~operators ~n sequences targets =
-  let remaining = Bitset.copy targets in
-  List.iter
-    (fun s ->
-      if not (Bitset.is_empty remaining) then begin
-        let exp = Ops.expand_with ~operators ~n s in
-        let o =
-          Fsim.run ~targets:remaining ~stop_when_all_detected:true universe exp
-        in
-        Bitset.diff_into remaining o.Fsim.detected
-      end)
-    sequences;
-  Bitset.is_empty remaining
-
 let run ?(seed = 5) ~n ~t0 universe =
   List.map
     (fun v ->
@@ -83,8 +67,8 @@ let run ?(seed = 5) ~n ~t0 universe =
         total_length = Procedure1.total_length kept;
         max_length = Procedure1.max_length kept;
         covers =
-          covers universe ~operators:v.operators ~n kept
-            r.Procedure1.t0_detected;
+          Bist_core.Scheme.verify_coverage ~operators:v.operators ~n universe
+            r.Procedure1.t0_detected kept;
       })
     variants
 

@@ -34,7 +34,7 @@ let () =
     | _ -> None)
 
 let detected_set ?obs ?pool ?ctl ?targets universe seq =
-  (Fsim.run ?obs ?pool ?ctl ?targets ~stop_when_all_detected:true universe seq)
+  (Fsim.run ?obs ?pool ?ctl ?targets universe seq)
     .Fsim.detected
 
 (* Evenly-spaced sample of a fault set; a candidate that loses any

@@ -224,8 +224,7 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
         let seg = candidate config rng ~width in
         let scored = if embed then Tseq.concat !t0 seg else seg in
         let outcome =
-          Fsim.run ~obs ?pool ?ctl ~targets:eval_targets
-            ~stop_when_all_detected:true universe scored
+          Fsim.run ~obs ?pool ?ctl ~targets:eval_targets universe scored
         in
         let gain = Bitset.cardinal outcome.Fsim.detected in
         match !best with
@@ -239,8 +238,7 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
         let full = Tseq.concat !t0 seg in
         let scored = if embed then full else seg in
         let outcome =
-          Fsim.run ~obs ?pool ?ctl ~targets:remaining
-            ~stop_when_all_detected:true universe scored
+          Fsim.run ~obs ?pool ?ctl ~targets:remaining universe scored
         in
         t0 := full;
         Bitset.diff_into remaining outcome.Fsim.detected;
@@ -294,7 +292,7 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
     poll_or_interrupt ~phase:Rebaseline ~fruitless:0;
     match
       Obs.span obs ~cat:"engine" "engine.rebaseline" (fun () ->
-          Fsim.run ~obs ?pool ?ctl ~stop_when_all_detected:true universe !t0)
+          Fsim.run ~obs ?pool ?ctl universe !t0)
     with
     | embedded ->
       Bitset.clear remaining;
@@ -357,8 +355,7 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
                 incr accepted;
                 let full = Tseq.concat !t0 seg in
                 let detected =
-                  (Fsim.run ~obs ?pool ?ctl ~targets:remaining
-                     ~stop_when_all_detected:true universe full)
+                  (Fsim.run ~obs ?pool ?ctl ~targets:remaining universe full)
                     .Fsim.detected
                 in
                 t0 := full;
@@ -444,8 +441,7 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
                 incr accepted;
                 let full = Tseq.concat !t0 seg in
                 let detected =
-                  (Fsim.run ~obs ?pool ?ctl ~targets:remaining
-                     ~stop_when_all_detected:true universe full)
+                  (Fsim.run ~obs ?pool ?ctl ~targets:remaining universe full)
                     .Fsim.detected
                 in
                 t0 := full;

@@ -64,16 +64,15 @@ tgen_deadline_loop() {
 tgen_deadline_loop s27  0.0001
 tgen_deadline_loop x344 0.05
 
-# --- PPSFP core: parallel deadline preemption, cross-kernel resume ---
+# --- PPSFP core: parallel deadline preemption ------------------------
 #
-# The fault simulator's internal representation must be invisible to
+# Preemption inside sharded fault simulation must be invisible to
 # checkpoint/resume: payloads carry engine-round state, not simulator
-# state. The first leg runs under the old packed kernel and gets
-# preempted; every resume leg runs under the default PPSFP kernel with
-# the parallel path forced on (BIST_SHARD_MIN=0 shards even on a 1-core
-# host). The final output must be cmp-identical to the uninterrupted
-# sequential reference from the loop above — one assertion covering
-# interrupt/resume, kernel migration, and --jobs width at once.
+# state. Every leg runs with the parallel path forced on
+# (BIST_SHARD_MIN=0 shards even on a 1-core host) under -j 2. The final
+# output must be cmp-identical to the uninterrupted sequential reference
+# from the loop above — one assertion covering interrupt/resume and
+# --jobs width at once.
 
 ppsfp_circuit=x344
 ref="$work/$ppsfp_circuit.ref"   # written by the deadline loop above
@@ -83,9 +82,7 @@ legs=0 preempts=0 resume=()
 while :; do
   legs=$((legs + 1))
   [ "$legs" -le 500 ] || fail "ppsfp: resume loop did not converge"
-  if [ "$preempts" -eq 0 ]; then kernel=packed; else kernel=ppsfp; fi
-  BIST_SHARD_MIN=0 BIST_FSIM=$kernel \
-    "$BISTGEN" tgen "$ppsfp_circuit" --seed 7 -j 2 -o "$out" \
+  BIST_SHARD_MIN=0 "$BISTGEN" tgen "$ppsfp_circuit" --seed 7 -j 2 -o "$out" \
     --deadline 0.05 --checkpoint "$ckpt" ${resume[@]+"${resume[@]}"} \
     >/dev/null 2>&1
   st=$?
@@ -103,7 +100,7 @@ done
 [ ! -f "$ckpt" ] || fail "ppsfp: checkpoint not removed after success"
 cmp -s "$ref" "$out" \
   || fail "ppsfp: parallel interrupted run differs from sequential reference"
-say "tgen $ppsfp_circuit (ppsfp, -j 2, sharding forced): bit-identical after $preempts preemption(s), packed-kernel checkpoint resumed"
+say "tgen $ppsfp_circuit (ppsfp, -j 2, sharding forced): bit-identical after $preempts preemption(s), $legs legs"
 
 # --- tgen: SIGTERM preemption ----------------------------------------
 

@@ -387,7 +387,18 @@ let test_lint_json () =
   (* escaping: a name with a quote must stay valid-ish *)
   Alcotest.(check string) "string escaping" "\"a\\\"b\""
     (Lint.to_json { Lint.circuit = "a\"b"; findings = [] }
-     |> fun s -> String.sub s 11 6)
+     |> fun s -> String.sub s 11 6);
+  (* control bytes and backslashes must come back intact from a real
+     JSON parser *)
+  let name = "a\\b\tc\rd\001e\"f" in
+  let module J = Bist_obs.Json_check in
+  match J.parse (Lint.to_json { Lint.circuit = name; findings = [] }) with
+  | Ok json ->
+    Alcotest.(check (option string)) "escaped name round-trips" (Some name)
+      (match J.member "circuit" json with
+      | Some (J.String s) -> Some s
+      | _ -> None)
+  | Error e -> Alcotest.failf "Lint.to_json is not JSON: %s" e
 
 let suite =
   [

@@ -128,7 +128,7 @@ let check_covers universe ~n sequences targets =
   List.iter
     (fun s ->
       let exp = Ops.expand ~n s in
-      let o = Fsim.run ~targets:remaining ~stop_when_all_detected:true universe exp in
+      let o = Fsim.run ~targets:remaining universe exp in
       Bitset.diff_into remaining o.Fsim.detected)
     sequences;
   Bitset.is_empty remaining

@@ -1,5 +1,4 @@
-(* Suites for Bist_fault.Dictionary (pass/fail diagnosis) and
-   Bist_harness.Latex. *)
+(* Suite for Bist_fault.Dictionary (pass/fail diagnosis). *)
 
 module Tseq = Bist_logic.Tseq
 module Universe = Bist_fault.Universe
@@ -71,44 +70,10 @@ let test_dictionary_errors () =
     (Invalid_argument "Dictionary.candidates: syndrome length mismatch")
     (fun () -> ignore (Dictionary.candidates dict ~observed:[ true ]))
 
-(* Latex *)
-
-let mini_results =
-  lazy
-    (let entry =
-       { Bist_bench.Registry.name = "mini"; paper_name = "s298";
-         circuit = Bist_bench.Teaching.counter3; scaled = false }
-     in
-     [ Bist_harness.Experiment.run_circuit ~seed:4 entry ])
-
-let contains text needle =
-  let nl = String.length needle and tl = String.length text in
-  let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
-  go 0
-
-let test_latex_renders () =
-  let results = Lazy.force mini_results in
-  List.iter
-    (fun (label, text) ->
-      Alcotest.(check bool) (label ^ " has tabular") true
-        (contains text "\\begin{tabular}");
-      Alcotest.(check bool) (label ^ " closes table") true
-        (contains text "\\end{table}"))
-    [ ("table3", Bist_harness.Latex.table3 results);
-      ("table5", Bist_harness.Latex.table5 results);
-      ("comparison", Bist_harness.Latex.comparison results) ]
-
-let test_latex_escapes () =
-  let text = Bist_harness.Latex.table3 (Lazy.force mini_results) in
-  Alcotest.(check bool) "underscores escaped" false (contains text " _ ");
-  Alcotest.(check bool) "pipe column header present" true (contains text "|S|")
-
 let suite =
   [
     Alcotest.test_case "dictionary syndromes" `Slow test_dictionary_syndromes_match_fsim;
     Alcotest.test_case "dictionary candidates" `Quick test_dictionary_candidates;
     Alcotest.test_case "dictionary classes" `Quick test_dictionary_classes;
     Alcotest.test_case "dictionary errors" `Quick test_dictionary_errors;
-    Alcotest.test_case "latex renders" `Slow test_latex_renders;
-    Alcotest.test_case "latex escapes" `Slow test_latex_escapes;
   ]

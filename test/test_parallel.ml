@@ -1,9 +1,9 @@
 (* Suites for Bist_parallel: the domain pool's chunking, exception and
    reuse behaviour; the determinism contract of the sharded fault
    simulator (parallel table == sequential table, bit for bit); the
-   Packed_sim / Event_sim cross-check that pins the kernel every shard
-   replicates; and the Rng-splitting protocol for randomness that crosses
-   a domain boundary. *)
+   Packed_sim / Seq_sim cross-check that pins the packed kernel's
+   fault-free lane; and the Rng-splitting protocol for randomness that
+   crosses a domain boundary. *)
 
 module Pool = Bist_parallel.Pool
 module Shard = Bist_parallel.Shard
@@ -243,31 +243,12 @@ let test_campaign_parallel_identical () =
   Alcotest.(check bool) "trial-by-trial identical" true
     (sequential.trials = parallel.trials)
 
-(* Packed_sim vs Event_sim: the kernel each shard replicates, pinned
-   against the second reference simulator (Seq_sim is covered in
-   test_sim.ml). *)
+(* Packed_sim vs Seq_sim: lane 0 of the packed kernel, pinned against
+   the scalar levelized simulator on random circuits and on known ones. *)
 
-let packed_lane0_matches_event_sim circuit seq =
-  let expected = Bist_sim.Event_sim.run circuit seq in
-  let packed = Bist_sim.Packed_sim.create circuit in
-  let ok = ref true in
-  Tseq.iteri
-    (fun u vec ->
-      Bist_sim.Packed_sim.step packed vec;
-      Array.iteri
-        (fun i _ ->
-          let got =
-            Bist_logic.Packed.get (Bist_sim.Packed_sim.po_value packed i) 0
-          in
-          if not (T.equal got (Bist_logic.Vector.get expected.(u) i)) then
-            ok := false)
-        (Netlist.outputs circuit))
-    seq;
-  !ok
-
-let test_packed_vs_event_random =
+let test_packed_vs_seq_sim_random =
   Testutil.qcheck
-    (QCheck.Test.make ~name:"Packed_sim lane 0 == Event_sim" ~count:60
+    (QCheck.Test.make ~name:"Packed_sim lane 0 == Seq_sim" ~count:60
        Testutil.circuit_and_seq
        (fun (cseed, sseed, len) ->
          let circuit = Testutil.small_circuit cseed in
@@ -275,9 +256,9 @@ let test_packed_vs_event_random =
          let seq =
            Tseq.random_binary rng ~width:(Netlist.num_inputs circuit) ~length:len
          in
-         packed_lane0_matches_event_sim circuit seq))
+         Testutil.packed_lane0_matches_seq_sim circuit seq))
 
-let test_packed_vs_event_registry_and_teaching () =
+let test_packed_vs_seq_sim_registry_and_teaching () =
   let circuits =
     [
       Bist_bench.S27.circuit ();
@@ -294,9 +275,9 @@ let test_packed_vs_event_registry_and_teaching () =
         Tseq.random_binary rng ~width:(Netlist.num_inputs circuit) ~length:48
       in
       Alcotest.(check bool)
-        (Netlist.circuit_name circuit ^ " lane 0 == Event_sim")
+        (Netlist.circuit_name circuit ^ " lane 0 == Seq_sim")
         true
-        (packed_lane0_matches_event_sim circuit seq))
+        (Testutil.packed_lane0_matches_seq_sim circuit seq))
     circuits
 
 (* The sequential/parallel crossover policy (Tune) *)
@@ -383,7 +364,7 @@ let suite =
     Alcotest.test_case "fsim targets with pool" `Quick test_fsim_targets_with_pool;
     Alcotest.test_case "campaign parallel identical" `Slow
       test_campaign_parallel_identical;
-    test_packed_vs_event_random;
+    test_packed_vs_seq_sim_random;
     Alcotest.test_case "packed vs event on known circuits" `Quick
-      test_packed_vs_event_registry_and_teaching;
+      test_packed_vs_seq_sim_registry_and_teaching;
   ]

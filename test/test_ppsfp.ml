@@ -2,19 +2,22 @@
 
    Three independent implementations must produce the same fault table:
 
-   - {!Bist_sim.Ppsfp} (the default kernel: shared fault-free trace,
-     event-driven levelized evaluation, fault dropping);
-   - {!Bist_sim.Packed_sim} (the original full-sweep packed kernel,
-     selected with BIST_FSIM=packed);
-   - {!Bist_sim.Event_sim} on a mutated netlist: each fault is compiled
+   - {!Bist_fault.Fsim.run}, whose kernel is {!Bist_sim.Ppsfp} (shared
+     fault-free trace, event-driven levelized evaluation, fault
+     dropping);
+   - a full-sweep {!Bist_sim.Packed_sim} loop over 62-fault groups,
+     local to this suite, that never drops a fault and always runs the
+     whole sequence;
+   - {!Bist_sim.Seq_sim} on a mutated netlist: each fault is compiled
      into the circuit structurally (stem stuck-at becomes a constant
      driver, a fanout-branch stuck-at rewires one consumer pin to a
      constant node) and the scalar simulator's primary outputs are
      compared against the fault-free run.
 
-   The first two run over the whole universe at several pool widths and
-   on both sides of the sharding crossover; the third is scalar and
-   per-fault, so it covers s27 and a band of small synthetics. *)
+   The first is checked against the second over the whole universe, at
+   several pool widths and on both sides of the sharding crossover; the
+   third is scalar and per-fault, so it covers s27 and a band of small
+   synthetics. *)
 
 module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
@@ -29,28 +32,58 @@ module Fsim = Bist_fault.Fsim
 module Pool = Bist_parallel.Pool
 module Tune = Bist_parallel.Tune
 module Ppsfp = Bist_sim.Ppsfp
+module Packed_sim = Bist_sim.Packed_sim
+module Seq_sim = Bist_sim.Seq_sim
 
 let pool2 = Pool.create ~jobs:2 ()
 let pool4 = Pool.create ~jobs:4 ()
-
-(* Force every call through the requested kernel regardless of the
-   environment the suite runs under. *)
-let with_fsim impl f =
-  let old = Sys.getenv_opt "BIST_FSIM" in
-  Unix.putenv "BIST_FSIM" impl;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "BIST_FSIM" (Option.value old ~default:""))
-    f
 
 (* Sharding forced into [jobs] chunks / suppressed entirely — the two
    sides of the crossover, pinned independently of this host's cores. *)
 let tune_shard () = Tune.create ~min_units:1 ()
 let tune_seq () = Tune.create ~min_units:max_int ()
 
-let det_times ?pool ?tune impl universe seq =
-  with_fsim impl (fun () ->
-      let outcome = Fsim.run ?pool ?tune universe seq in
-      outcome.Fsim.det_time)
+let det_times ?pool ?tune universe seq =
+  (Fsim.run ?pool ?tune universe seq).Fsim.det_time
+
+let install sim fault ~lane =
+  let mask = 1 lsl lane in
+  match (fault : Fault.t) with
+  | { site = Fault.Output n; stuck } -> Packed_sim.add_output_force sim n ~mask stuck
+  | { site = Fault.Pin { gate; pin }; stuck } ->
+    Packed_sim.add_pin_force sim ~gate ~pin ~mask stuck
+
+(* The reference table: every fault of the universe, 62 per pass (lane 0
+   is the fault-free machine), each pass a full sweep of the circuit over
+   the whole sequence. *)
+let packed_det_times universe seq =
+  let faults_per_pass = 62 in
+  let k = Universe.size universe in
+  let det = Array.make k (-1) in
+  let sim = Packed_sim.create (Universe.circuit universe) in
+  let n_groups = (k + faults_per_pass - 1) / faults_per_pass in
+  for g = 0 to n_groups - 1 do
+    let base = g * faults_per_pass in
+    let group_size = min faults_per_pass (k - base) in
+    Packed_sim.clear_forces sim;
+    Packed_sim.reset sim;
+    for j = 0 to group_size - 1 do
+      install sim (Universe.get universe (base + j)) ~lane:(j + 1)
+    done;
+    (* [live] = lanes of not-yet-detected faults in this group. *)
+    let live = ref (((1 lsl group_size) - 1) lsl 1) in
+    for u = 0 to Tseq.length seq - 1 do
+      Packed_sim.step sim (Tseq.get seq u);
+      let newly = Packed_sim.po_diff_lanes sim land !live in
+      if newly <> 0 then begin
+        for j = 0 to group_size - 1 do
+          if newly land (1 lsl (j + 1)) <> 0 then det.(base + j) <- u
+        done;
+        live := !live land lnot newly
+      end
+    done
+  done;
+  det
 
 let seq_for circuit ~seed ~len =
   let rng = Rng.create seed in
@@ -63,28 +96,24 @@ let test_synthetics_ppsfp_vs_packed () =
     let circuit = Testutil.small_circuit (17 * seed) in
     let universe = Universe.collapsed circuit in
     let seq = seq_for circuit ~seed:(seed + 1) ~len:(10 + (seed mod 25)) in
-    let reference = det_times "packed" universe seq in
+    let reference = packed_det_times universe seq in
     let label variant = Printf.sprintf "seed %d: %s == packed" seed variant in
     Alcotest.(check (array int))
       (label "ppsfp sequential")
       reference
-      (det_times ~tune:(tune_seq ()) "ppsfp" universe seq);
+      (det_times ~tune:(tune_seq ()) universe seq);
     Alcotest.(check (array int))
       (label "ppsfp jobs=2 sharded")
       reference
-      (det_times ~pool:pool2 ~tune:(tune_shard ()) "ppsfp" universe seq);
+      (det_times ~pool:pool2 ~tune:(tune_shard ()) universe seq);
     Alcotest.(check (array int))
       (label "ppsfp jobs=4 sharded")
       reference
-      (det_times ~pool:pool4 ~tune:(tune_shard ()) "ppsfp" universe seq);
+      (det_times ~pool:pool4 ~tune:(tune_shard ()) universe seq);
     Alcotest.(check (array int))
       (label "ppsfp jobs=4 below crossover")
       reference
-      (det_times ~pool:pool4 ~tune:(tune_seq ()) "ppsfp" universe seq);
-    Alcotest.(check (array int))
-      (label "packed jobs=4 sharded")
-      reference
-      (det_times ~pool:pool4 ~tune:(tune_shard ()) "packed" universe seq)
+      (det_times ~pool:pool4 ~tune:(tune_seq ()) universe seq)
   done
 
 (* Same cross-check on every registry circuit. *)
@@ -94,15 +123,15 @@ let test_registry_ppsfp_vs_packed () =
       let circuit = entry.circuit () in
       let universe = Universe.collapsed circuit in
       let seq = seq_for circuit ~seed:23 ~len:24 in
-      let reference = det_times "packed" universe seq in
+      let reference = packed_det_times universe seq in
       Alcotest.(check (array int))
         (entry.name ^ ": ppsfp == packed")
         reference
-        (det_times ~tune:(tune_seq ()) "ppsfp" universe seq);
+        (det_times ~tune:(tune_seq ()) universe seq);
       Alcotest.(check (array int))
         (entry.name ^ ": ppsfp jobs=2 == packed")
         reference
-        (det_times ~pool:pool2 ~tune:(tune_shard ()) "ppsfp" universe seq))
+        (det_times ~pool:pool2 ~tune:(tune_shard ()) universe seq))
     (Bist_bench.Registry.all ())
 
 (* The qcheck property: any synthetic circuit, any binary sequence, any
@@ -115,16 +144,16 @@ let ppsfp_differential_property =
          let circuit = Testutil.small_circuit cseed in
          let universe = Universe.collapsed circuit in
          let seq = seq_for circuit ~seed:sseed ~len in
-         let reference = det_times "packed" universe seq in
+         let reference = packed_det_times universe seq in
          let pool, tune =
            match (cseed + sseed + len) mod 3 with
            | 0 -> (None, tune_seq ())
            | 1 -> (Some pool2, tune_shard ())
            | _ -> (Some pool4, tune_shard ())
          in
-         reference = det_times ?pool ~tune "ppsfp" universe seq))
+         reference = det_times ?pool ~tune universe seq))
 
-(* --- structural fault compilation for the Event_sim oracle ---------- *)
+(* --- structural fault compilation for the Seq_sim oracle ------------ *)
 
 let const_name = "__sa_const"
 let orig_prefix = "__sa_orig_"
@@ -204,27 +233,27 @@ let scalar_det_time good bad =
   in
   go 0
 
-let check_event_sim_oracle circuit ~seed ~len =
+let check_seq_sim_oracle circuit ~seed ~len =
   let universe = Universe.collapsed circuit in
   let seq = seq_for circuit ~seed ~len in
-  let good = Bist_sim.Event_sim.run circuit seq in
-  let table = det_times "ppsfp" universe seq in
+  let good = Seq_sim.run circuit seq in
+  let table = det_times universe seq in
   Universe.iter
     (fun id fault ->
-      let bad = Bist_sim.Event_sim.run (mutant circuit fault) seq in
+      let bad = Seq_sim.run (mutant circuit fault) seq in
       Alcotest.(check int)
         (Printf.sprintf "%s fault %s" (Netlist.circuit_name circuit)
            (Fault.name circuit fault))
         (scalar_det_time good bad) table.(id))
     universe
 
-let test_event_sim_oracle_s27 () =
-  check_event_sim_oracle (Bist_bench.S27.circuit ()) ~seed:3 ~len:32
+let test_seq_sim_oracle_s27 () =
+  check_seq_sim_oracle (Bist_bench.S27.circuit ()) ~seed:3 ~len:32
 
-let test_event_sim_oracle_synthetics () =
+let test_seq_sim_oracle_synthetics () =
   List.iter
     (fun cseed ->
-      check_event_sim_oracle (Testutil.small_circuit cseed) ~seed:(cseed + 5)
+      check_seq_sim_oracle (Testutil.small_circuit cseed) ~seed:(cseed + 5)
         ~len:20)
     [ 1; 2; 3; 4; 5 ]
 
@@ -261,12 +290,12 @@ let test_drop_lanes_preserves_other_lanes () =
   let circuit = Bist_bench.S27.circuit () in
   let universe = Universe.collapsed circuit in
   let seq = seq_for circuit ~seed:12 ~len:24 in
-  let reference = det_times "packed" universe seq in
+  let reference = packed_det_times universe seq in
   (* The production path drops on detection; equality with the packed
-     kernel (which never drops) is exactly the preservation property,
+     loop (which never drops) is exactly the preservation property,
      fault by fault. *)
   Alcotest.(check (array int)) "dropping == never dropping" reference
-    (det_times "ppsfp" universe seq)
+    (det_times universe seq)
 
 let test_lane0_reserved_and_validation () =
   let circuit = Bist_bench.S27.circuit () in
@@ -287,16 +316,6 @@ let test_lane0_reserved_and_validation () =
     (Invalid_argument "Ppsfp.step: trace belongs to a different circuit")
     (fun () -> Ppsfp.step sim tr2 0)
 
-(* BIST_FSIM validation: unknown values warn and fall back to ppsfp. *)
-let test_bist_fsim_fallback () =
-  let circuit = Bist_bench.S27.circuit () in
-  let universe = Universe.collapsed circuit in
-  let seq = seq_for circuit ~seed:4 ~len:12 in
-  let reference = det_times "ppsfp" universe seq in
-  Alcotest.(check (array int)) "unknown BIST_FSIM falls back to ppsfp"
-    reference
-    (det_times "no-such-kernel" universe seq)
-
 let suite =
   [
     Alcotest.test_case "synthetics: ppsfp == packed at widths 1/2/4" `Slow
@@ -305,14 +324,13 @@ let suite =
       test_registry_ppsfp_vs_packed;
     ppsfp_differential_property;
     Alcotest.test_case "event-sim oracle on s27 (structural mutants)" `Quick
-      test_event_sim_oracle_s27;
+      test_seq_sim_oracle_s27;
     Alcotest.test_case "event-sim oracle on synthetics" `Slow
-      test_event_sim_oracle_synthetics;
+      test_seq_sim_oracle_synthetics;
     Alcotest.test_case "event core skips quiescent levels" `Quick
       test_event_core_skips_quiescent_levels;
     Alcotest.test_case "fault dropping preserves other lanes" `Quick
       test_drop_lanes_preserves_other_lanes;
     Alcotest.test_case "ppsfp argument validation" `Quick
       test_lane0_reserved_and_validation;
-    Alcotest.test_case "BIST_FSIM fallback" `Quick test_bist_fsim_fallback;
   ]

@@ -92,19 +92,7 @@ let test_packed_lane0_equals_scalar =
          let width = Netlist.num_inputs circuit in
          let rng = Bist_util.Rng.create sseed in
          let seq = Tseq.random_binary rng ~width ~length:len in
-         let scalar = Seq_sim.run circuit seq in
-         let packed = Packed_sim.create circuit in
-         let ok = ref true in
-         Tseq.iteri
-           (fun u vec ->
-             Packed_sim.step packed vec;
-             Array.iteri
-               (fun i _ ->
-                 let got = Bist_logic.Packed.get (Packed_sim.po_value packed i) 0 in
-                 if not (T.equal got (Vector.get scalar.(u) i)) then ok := false)
-               (Netlist.outputs circuit))
-           seq;
-         !ok))
+         Testutil.packed_lane0_matches_seq_sim circuit seq))
 
 (* An output force on lane k makes that lane behave like the forced
    constant; lane 0 stays fault-free. *)
@@ -162,43 +150,6 @@ let test_packed_lane0_reserved () =
     (Invalid_argument "Packed_sim: lane 0 is reserved for the fault-free machine")
     (fun () -> Packed_sim.add_output_force sim 0 ~mask:1 T.One)
 
-(* The event-driven engine must agree with the levelized one. *)
-let test_event_sim_equals_levelized =
-  Testutil.qcheck
-    (QCheck.Test.make ~name:"Event_sim == Seq_sim" ~count:60
-       Testutil.circuit_and_seq
-       (fun (cseed, sseed, len) ->
-         let circuit = Testutil.small_circuit cseed in
-         let width = Netlist.num_inputs circuit in
-         let rng = Bist_util.Rng.create sseed in
-         let seq = Tseq.random_binary rng ~width ~length:len in
-         let a = Seq_sim.run circuit seq in
-         let b = Bist_sim.Event_sim.run circuit seq in
-         Array.for_all2 Vector.equal a b))
-
-let test_event_sim_reset_and_reuse () =
-  let circuit = Bist_bench.Teaching.counter3 () in
-  let sim = Bist_sim.Event_sim.create circuit in
-  let step s = Vector.to_string (Bist_sim.Event_sim.step sim (Vector.of_string s)) in
-  ignore (step "10");
-  Alcotest.(check string) "after reset vector" "000" (step "01");
-  Bist_sim.Event_sim.reset sim;
-  ignore (step "10");
-  Alcotest.(check string) "same trace after reset" "000" (step "01")
-
-let test_event_sim_activity () =
-  (* On a hold sequence (same vector repeated) the event engine settles:
-     far fewer evaluations than gates x cycles. *)
-  let circuit = Testutil.small_circuit 3 in
-  let width = Netlist.num_inputs circuit in
-  let v = Vector.create width T.Zero in
-  let seq = Tseq.of_vectors (Array.make 50 v) in
-  let sim = Bist_sim.Event_sim.create circuit in
-  Tseq.iter (fun vec -> ignore (Bist_sim.Event_sim.step sim vec)) seq;
-  let full_cost = 50 * Netlist.num_gates circuit in
-  Alcotest.(check bool) "event engine is lazy" true
-    (Bist_sim.Event_sim.evaluations sim < full_cost / 2)
-
 let suite =
   [
     Alcotest.test_case "counter counts" `Quick test_counter_counts;
@@ -214,7 +165,4 @@ let suite =
     Alcotest.test_case "pin force is local" `Quick test_packed_pin_force_is_local;
     Alcotest.test_case "clear forces" `Quick test_packed_clear_forces;
     Alcotest.test_case "lane 0 reserved" `Quick test_packed_lane0_reserved;
-    test_event_sim_equals_levelized;
-    Alcotest.test_case "event sim reset" `Quick test_event_sim_reset_and_reuse;
-    Alcotest.test_case "event sim activity" `Quick test_event_sim_activity;
   ]

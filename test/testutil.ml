@@ -72,6 +72,25 @@ let circuit_and_seq =
     ~print:(fun (c, s, l) -> Printf.sprintf "circuit seed %d, seq seed %d, len %d" c s l)
     circuit_and_seq_gen
 
+(* Whether lane 0 of the packed simulator, which no fault ever forces,
+   reproduces the scalar levelized simulator's outputs at every step. *)
+let packed_lane0_matches_seq_sim circuit seq =
+  let expected = Bist_sim.Seq_sim.run circuit seq in
+  let packed = Bist_sim.Packed_sim.create circuit in
+  let ok = ref true in
+  Tseq.iteri
+    (fun u vec ->
+      Bist_sim.Packed_sim.step packed vec;
+      Array.iteri
+        (fun i _ ->
+          let got =
+            Bist_logic.Packed.get (Bist_sim.Packed_sim.po_value packed i) 0
+          in
+          if not (T.equal got (Vector.get expected.(u) i)) then ok := false)
+        (Bist_circuit.Netlist.outputs circuit))
+    seq;
+  !ok
+
 (* Alcotest testables *)
 
 let tseq_testable =
