@@ -49,9 +49,18 @@ let pick_target ~fault_order ~rng table targets =
     if Array.length ids = 0 then None else Some (Rng.choose rng ids)
 
 let run ?(strategy = Procedure2.paper_strategy) ?(operators = Ops.all_operators)
-    ?(fault_order = `Max_udet) ?(obs = Obs.null) ?ctl ~rng ~n ~t0 universe =
+    ?(fault_order = `Max_udet) ?(obs = Obs.null) ?ctl ?table ~rng ~n ~t0 universe =
   let circuit = Universe.circuit universe in
-  let table = Fault_table.compute ~obs ?ctl universe t0 in
+  let table =
+    match table with
+    | None -> Fault_table.compute ~obs ?ctl universe t0
+    | Some table ->
+      if
+        Fault_table.universe table != universe
+        || not (Tseq.equal (Fault_table.sequence table) t0)
+      then invalid_arg "Procedure1.run: table was computed for another universe or T0";
+      table
+  in
   let t0_detected = Fault_table.detected table in
   let targets = Bitset.copy t0_detected in
   let time_units = ref 0 in

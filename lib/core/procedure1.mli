@@ -34,6 +34,7 @@ val run :
   ?fault_order:[ `Max_udet | `Min_udet | `Random ] ->
   ?obs:Bist_obs.Obs.t ->
   ?ctl:Bist_resilience.Ctl.t ->
+  ?table:Bist_fault.Fault_table.t ->
   rng:Bist_util.Rng.t ->
   n:int ->
   t0:Bist_logic.Tseq.t ->
@@ -48,7 +49,12 @@ val run :
     fault-table pass and {!Procedure2.find}; a demanded stop raises
     {!Bist_resilience.Ctl.Preempted}. Procedure 1 itself is cheap (the
     expensive [T0] generation checkpoints upstream), so it carries no
-    resumable snapshot — a preempted selection restarts. *)
+    resumable snapshot — a preempted selection restarts.
+
+    [table] (default: computed here) is [T0]'s fault table, for a caller
+    that has already simulated [T0]; the result is the same as without
+    it. Raises [Invalid_argument] if [table] was computed for another
+    universe or sequence. *)
 
 val sequences : result -> Bist_logic.Tseq.t list
 

@@ -16,7 +16,11 @@ type run = {
   expanded_total_length : int;
       (** Total at-speed test length: 8·n·(after total) for the full
           operator set ("test len" in Table 5). *)
-  proc1_seconds : float;  (** Wall-clock seconds, as are the next two. *)
+  proc1_seconds : float;
+      (** Wall-clock seconds, as are the next two. Procedure 1 including
+          its step-1 simulation of T0, which it shares with
+          [simulate_t0_seconds]: that simulation runs once and counts in
+          both. *)
   compaction_seconds : float;
   simulate_t0_seconds : float;  (** Fault-simulating T0 once — the paper's
                                     normalization unit for Table 4. *)

@@ -96,46 +96,62 @@ let create circuit =
   let n = Netlist.size circuit in
   let levels = Bist_circuit.Stats.levels circuit in
   let max_level = Array.fold_left max 0 levels in
-  let csr fanins_of =
+  let nkind = Array.init n (fun node -> kind_code (Netlist.kind circuit node)) in
+  let comb node = nkind.(node) >= 0 in
+  (* Compressed sparse rows of the [keep] members of [edges node], in
+     two passes: count, then fill. *)
+  let csr edges keep =
     let off = Array.make n 0 in
     let len = Array.make n 0 in
     let total = ref 0 in
     for node = 0 to n - 1 do
-      len.(node) <- Array.length (fanins_of node);
+      let e = edges node in
+      off.(node) <- !total;
+      for i = 0 to Array.length e - 1 do
+        if keep e.(i) then len.(node) <- len.(node) + 1
+      done;
       total := !total + len.(node)
     done;
     let dat = Array.make (max 1 !total) 0 in
-    let pos = ref 0 in
     for node = 0 to n - 1 do
-      off.(node) <- !pos;
-      Array.iter
-        (fun d ->
-          dat.(!pos) <- d;
-          incr pos)
-        (fanins_of node)
+      let e = edges node in
+      let pos = ref off.(node) in
+      for i = 0 to Array.length e - 1 do
+        if keep e.(i) then begin
+          dat.(!pos) <- e.(i);
+          incr pos
+        end
+      done
     done;
     (off, len, dat)
   in
-  let nfan_off, nfan_len, nfan = csr (fun node -> Netlist.fanins circuit node) in
-  let comb node = Gate.is_combinational (Netlist.kind circuit node) in
-  let nfo_off, nfo_len, nfo =
-    csr (fun node ->
-        Array.of_list
-          (List.filter comb (Array.to_list (Netlist.fanouts circuit node))))
-  in
-  (* Sort the topological order by level so the full sweep and the event
-     sweep agree on evaluation order (both are valid topological orders;
+  let nfan_off, nfan_len, nfan = csr (Netlist.fanins circuit) (fun _ -> true) in
+  let nfo_off, nfo_len, nfo = csr (Netlist.fanouts circuit) comb in
+  (* The combinational nodes ordered by level, node ids ascending within
+     a level (a counting sort), so the full sweep and the event sweep
+     agree on evaluation order (both are valid topological orders;
      values are order-independent, this is just cache-friendlier). *)
-  let topo = Array.copy (Netlist.topo_order circuit) in
-  let cmp a b = compare (levels.(a), a) (levels.(b), b) in
-  Array.sort cmp topo;
   let per_level = Array.make (max_level + 1) 0 in
-  Array.iter (fun g -> per_level.(levels.(g)) <- per_level.(levels.(g)) + 1) topo;
+  for node = 0 to n - 1 do
+    if comb node then per_level.(levels.(node)) <- per_level.(levels.(node)) + 1
+  done;
+  let next = Array.make (max_level + 1) 0 in
+  for l = 1 to max_level do
+    next.(l) <- next.(l - 1) + per_level.(l - 1)
+  done;
+  let topo = Array.make (Array.length (Netlist.topo_order circuit)) 0 in
+  for node = 0 to n - 1 do
+    if comb node then begin
+      let l = levels.(node) in
+      topo.(next.(l)) <- node;
+      next.(l) <- next.(l) + 1
+    end
+  done;
   let dffs = Netlist.dffs circuit in
   {
     circuit;
     n;
-    nkind = Array.init n (fun node -> kind_code (Netlist.kind circuit node));
+    nkind;
     nfan_off;
     nfan_len;
     nfan;

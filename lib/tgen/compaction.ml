@@ -33,10 +33,6 @@ let () =
            (Tseq.length s.seq) s.initial_length s.trials)
     | _ -> None)
 
-let detected_set ?obs ?pool ?ctl ?targets universe seq =
-  (Fsim.run ?obs ?pool ?ctl ?targets universe seq)
-    .Fsim.detected
-
 (* Evenly-spaced sample of a fault set; a candidate that loses any
    sampled fault can be rejected without the full re-simulation. *)
 let sample_of set cap =
@@ -53,6 +49,13 @@ let sample_of set cap =
       set;
     sample
   end
+
+(* The members of [set] whose detection time in [det] is at least
+   [start]. *)
+let detected_from det set start =
+  let late = Bitset.create (Bitset.capacity set) in
+  Bitset.iter (fun id -> if det.(id) >= start then Bitset.add late id) set;
+  late
 
 let remove_block seq ~start ~len =
   let n = Tseq.length seq in
@@ -86,9 +89,20 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
       initial_length;
     }
   in
-  let must_detect =
+  (* [det.(id)] is the detection time of must-detect fault [id] in
+     [!current]. Snapshots do not carry it: a resumed run recomputes it
+     with one simulation, which commits nothing, so a preemption there
+     hands back the snapshot the run resumed from. *)
+  let must_detect, det =
     match resume with
-    | Some { must_detect = Some md; _ } -> Bitset.copy md
+    | Some ({ must_detect = Some md; _ } as s) -> (
+      let md = Bitset.copy md in
+      match
+        Obs.span obs ~cat:"compaction" "compaction.resume" (fun () ->
+            Fsim.run ~obs ?pool ?ctl ~targets:md universe !current)
+      with
+      | o -> (md, o.Fsim.det_time)
+      | exception Ctl.Preempted _ -> raise (Interrupted s))
     | _ -> (
       (match ctl with
       | Some c when Ctl.stop_reason c <> None ->
@@ -96,11 +110,11 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
       | _ -> ());
       match
         Obs.span obs ~cat:"compaction" "compaction.baseline" (fun () ->
-            detected_set ~obs ?pool ?ctl universe !current)
+            Fsim.run ~obs ?pool ?ctl universe !current)
       with
-      | md ->
+      | o ->
         committed ();
-        md
+        (o.Fsim.detected, o.Fsim.det_time)
       | exception Ctl.Preempted _ ->
         raise (Interrupted (pre_baseline_snapshot ())))
   in
@@ -127,13 +141,29 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
       initial_length;
     }
   in
-  let keeps_coverage candidate =
-    (* Two-stage check: the cheap sampled rejection filter first, the
-       full target set only when the sample survives. *)
-    Bitset.subset must_sample
-      (detected_set ~obs ?pool ?ctl ~targets:must_sample universe candidate)
-    && Bitset.subset must_detect
-         (detected_set ~obs ?pool ?ctl ~targets:must_detect universe candidate)
+  (* Two-stage check: the cheap sampled rejection filter first, the
+     full target set only when the sample survives. The candidate keeps
+     the prefix [0, start) of [!current], so every fault detected before
+     [start] is detected at the same step; both stages simulate only the
+     faults detected at or after [start]. On success the simulated
+     faults' detection times in the candidate are copied into [det]. *)
+  let keeps_coverage candidate ~start =
+    let late = detected_from det must_detect start in
+    let late_sample = detected_from det must_sample start in
+    let simulate targets = Fsim.run ~obs ?pool ?ctl ~targets universe candidate in
+    let full_check () =
+      Bitset.is_empty late
+      ||
+      let o = simulate late in
+      Bitset.subset late o.Fsim.detected
+      && (Bitset.iter (fun id -> det.(id) <- o.Fsim.det_time.(id)) late;
+          true)
+    in
+    (* A sample as large as the late set is the late set: one stage. *)
+    if Bitset.cardinal late_sample = Bitset.cardinal late then full_check ()
+    else
+      Bitset.subset late_sample (simulate late_sample).Fsim.detected
+      && full_check ()
   in
   while !block >= 1 && !trials < max_trials do
     (* Back-to-front scan at the current granularity: one span per pass,
@@ -152,14 +182,15 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
           | Some c when Ctl.stop_reason c <> None ->
             raise (Interrupted (trial_snapshot ()))
           | _ -> ());
-          (* A trial mutates [current] only after its simulations, so a
-             [Preempted] escaping mid-trial rewinds to the trial entry by
-             restoring the counter. *)
+          (* A trial mutates [current] and [det] only after its
+             simulations, so a [Preempted] escaping mid-trial rewinds to
+             the trial entry by restoring the counter. *)
           let trials_entry = !trials in
           (try
              let candidate = remove_block !current ~start:!start ~len:!block in
              incr trials;
-             if Tseq.length candidate > 0 && keeps_coverage candidate then begin
+             if Tseq.length candidate > 0 && keeps_coverage candidate ~start:!start
+             then begin
                incr accepted;
                current := candidate
              end;

@@ -8,6 +8,16 @@
     Scanning runs back-to-front because later vectors are more often
     redundant once earlier vectors have synchronized the circuit.
 
+    A trial that removes the block at [start] keeps the vectors before
+    [start] unchanged, so every fault the current sequence detects
+    before [start] is detected at the same step by the candidate. The
+    run keeps each must-detect fault's detection time in the current
+    sequence and re-simulates only the faults detected at or after
+    [start]; a resumed run recomputes those times with one simulation of
+    the snapshot's sequence. The trials, the accepted omissions and the
+    result are those of re-simulating every must-detect fault on every
+    trial.
+
     The result never detects fewer faults than the input sequence, and
     its detected set is a superset of the input's. *)
 
@@ -59,10 +69,13 @@ val compact :
     ({!Bist_resilience.Ctl.note_progress}). [resume] (default: none)
     continues from a snapshot; the [seq] argument is then ignored in
     favor of the snapshot's sequence, and the final [stats] count trials
-    across all the resumed legs.
+    across all the resumed legs. A stop during a resumed run's
+    recomputation of detection times raises {!Interrupted} with the
+    snapshot it resumed from.
 
     [obs] records a ["compaction.baseline"] span for the initial
-    must-detect simulation and one ["compaction.pass"] span per block
+    must-detect simulation (["compaction.resume"] for a resumed run's
+    recomputation) and one ["compaction.pass"] span per block
     granularity, whose args (evaluated when the pass ends) report the
     block size, trials, accepted omissions and resulting length. *)
 

@@ -190,7 +190,7 @@ say "payload bombs: typed rejections, daemon kept serving"
 
 # --- 7. poison job: quarantine, restart, release, finish -------------
 
-# Under a 1s CPU rlimit a directed-300 run (~6s CPU) dies with SIGXCPU
+# Under a 1s CPU rlimit a directed-300 run (~10s CPU) dies with SIGXCPU
 # on every attempt; after 3 distinct crashed workers the job must be
 # quarantined (typed reply, co-tenant unharmed), survive a restart, and
 # on release resume from its kept checkpoint to a bit-identical result.
@@ -207,26 +207,29 @@ poison=$!
   || fail "co-tenant job failed alongside the poison job: $(cat "$work/cotenant.err")"
 [ -s "$work/cotenant.seq" ] || fail "co-tenant job produced no output"
 if wait "$poison"; then fail "poison job unexpectedly succeeded"; fi
-grep -q "quarantined" "$work/poison.client" \
+# The two submits race for job ids, so the poison job's id is read from
+# its client's "job N quarantined" reply.
+poison_id=$(sed -n 's/.*job \([0-9][0-9]*\) quarantined.*/\1/p' "$work/poison.client" | head -n 1)
+[ -n "$poison_id" ] \
   || fail "poison client got no typed quarantine reply: $(cat "$work/poison.client")"
 "$BISTD" quarantine list --port "$port" > "$work/quar.out" \
   || fail "quarantine list failed"
-grep -q "^job 1 .*crashes=3" "$work/quar.out" \
-  || fail "quarantine list does not show job 1: $(cat "$work/quar.out")"
+grep -q "^job $poison_id .*crashes=3" "$work/quar.out" \
+  || fail "quarantine list does not show job $poison_id: $(cat "$work/quar.out")"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" || fail "daemon with a quarantined job did not drain cleanly"
 daemon_pid=""
 start_daemon --workers 1   # no CPU limit: the released job must finish
-"$BISTD" quarantine list --port "$port" | grep -q "^job 1 " \
+"$BISTD" quarantine list --port "$port" | grep -q "^job $poison_id " \
   || fail "quarantine did not survive the restart"
-"$BISTD" quarantine release 1 --port "$port" | grep -q "released job 1" \
+"$BISTD" quarantine release "$poison_id" --port "$port" | grep -q "released job $poison_id" \
   || fail "quarantine release refused"
 for _ in $(seq 1 200); do
-  [ -f "$work/spool/job-1.out" ] && break
+  [ -f "$work/spool/job-$poison_id.out" ] && break
   sleep 0.1
 done
-[ -f "$work/spool/job-1.out" ] || fail "released job never finished"
-cmp -s "$work/pref3.seq" "$work/spool/job-1.out" \
+[ -f "$work/spool/job-$poison_id.out" ] || fail "released job never finished"
+cmp -s "$work/pref3.seq" "$work/spool/job-$poison_id.out" \
   || fail "released job's result differs from the local bistgen run"
 "$BISTD" shutdown --port "$port" >/dev/null
 wait "$daemon_pid"; daemon_pid=""

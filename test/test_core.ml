@@ -179,6 +179,31 @@ let test_procedure1_teaching_circuits () =
     [ Bist_bench.Teaching.counter3 (); Bist_bench.Teaching.shift4 ();
       Bist_bench.Teaching.parity_fsm () ]
 
+(* A fault table passed in is the one Procedure 1 would compute: the
+   result is the same, and a table of another sequence is refused. *)
+let test_procedure1_given_table () =
+  let same name universe t0 =
+    let run ?table () =
+      Procedure1.run ?table ~rng:(Bist_util.Rng.create 7) ~n:4 ~t0 universe
+    in
+    let table = Bist_fault.Fault_table.compute universe t0 in
+    Alcotest.(check bool) (name ^ ": same result") true (run ~table () = run ())
+  in
+  same "s27" s27_universe s27_t0;
+  let x298 = (Option.get (Bist_bench.Registry.find "x298")).circuit () in
+  let t0 =
+    Tseq.random_binary (Bist_util.Rng.create 3)
+      ~width:(Bist_circuit.Netlist.num_inputs x298) ~length:80
+  in
+  same "x298" (Universe.collapsed x298) t0;
+  let other = Bist_fault.Fault_table.compute s27_universe (Tseq.sub s27_t0 ~lo:0 ~hi:4) in
+  Alcotest.check_raises "table of another T0"
+    (Invalid_argument "Procedure1.run: table was computed for another universe or T0")
+    (fun () ->
+      ignore
+        (Procedure1.run ~table:other ~rng:(Bist_util.Rng.create 7) ~n:2 ~t0:s27_t0
+           s27_universe))
+
 (* Postprocess: never loses coverage, never grows the set. *)
 let test_postprocess_preserves_coverage () =
   let rng = Bist_util.Rng.create 7 in
@@ -274,6 +299,7 @@ let suite =
     Alcotest.test_case "procedure2 bad udet" `Quick test_procedure2_bad_udet;
     Alcotest.test_case "procedure1 covers F" `Quick test_procedure1_covers;
     Alcotest.test_case "procedure1 fault orders" `Quick test_procedure1_fault_orders;
+    Alcotest.test_case "procedure1 given table" `Quick test_procedure1_given_table;
     Alcotest.test_case "procedure1 teaching circuits" `Quick
       test_procedure1_teaching_circuits;
     Alcotest.test_case "postprocess preserves coverage" `Quick

@@ -365,6 +365,6 @@ let suite =
     Alcotest.test_case "campaign parallel identical" `Slow
       test_campaign_parallel_identical;
     test_packed_vs_seq_sim_random;
-    Alcotest.test_case "packed vs event on known circuits" `Quick
+    Alcotest.test_case "packed vs Seq_sim (known circuits)" `Quick
       test_packed_vs_seq_sim_registry_and_teaching;
   ]

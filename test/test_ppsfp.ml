@@ -323,9 +323,9 @@ let suite =
     Alcotest.test_case "registry: ppsfp == packed" `Slow
       test_registry_ppsfp_vs_packed;
     ppsfp_differential_property;
-    Alcotest.test_case "event-sim oracle on s27 (structural mutants)" `Quick
+    Alcotest.test_case "Seq_sim oracle on s27 mutants" `Quick
       test_seq_sim_oracle_s27;
-    Alcotest.test_case "event-sim oracle on synthetics" `Slow
+    Alcotest.test_case "Seq_sim oracle on synthetics" `Slow
       test_seq_sim_oracle_synthetics;
     Alcotest.test_case "event core skips quiescent levels" `Quick
       test_event_core_skips_quiescent_levels;

@@ -19,6 +19,7 @@ module Universe = Bist_fault.Universe
 module Engine = Bist_tgen.Engine
 module Compaction = Bist_tgen.Compaction
 module Campaign = Bist_inject.Campaign
+module Obs = Bist_obs.Obs
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -406,22 +407,62 @@ let test_engine_resume_wrong_universe_is_mismatch () =
     expect_mismatch "resume on another circuit" (fun () ->
         Engine.generate ~resume:snap ~rng:(Rng.create 3) (x_universe "x298"))
 
+(* Compaction in legs, each under a deadline that expires a few polls
+   after the leg commits its first trial. *)
+let compact_in_legs ~max_trials ?resume universe t0 =
+  let rec go resume legs =
+    if legs > 10_000 then Alcotest.fail "resume loop does not converge";
+    let ctl = expiring_ctl ~after_calls:5 in
+    match Compaction.compact ~max_trials ~ctl ?resume universe t0 with
+    | seq, stats -> (seq, stats, legs)
+    | exception Compaction.Interrupted s -> go (Some s) (legs + 1)
+  in
+  go resume 1
+
 let test_compaction_resume_identity () =
   let universe = s27_universe () in
   let rng = Rng.create 5 in
   let t0, _ = Engine.generate ~rng universe in
   let ref_seq, ref_stats = Compaction.compact ~max_trials:200 universe t0 in
-  let rec go resume legs =
-    if legs > 10_000 then Alcotest.fail "resume loop does not converge";
-    let ctl = expiring_ctl ~after_calls:5 in
-    match Compaction.compact ~max_trials:200 ~ctl ?resume universe t0 with
-    | seq, stats -> (seq, stats, legs)
-    | exception Compaction.Interrupted s -> go (Some s) (legs + 1)
-  in
-  let seq, stats, legs = go None 1 in
+  let seq, stats, legs = compact_in_legs ~max_trials:200 universe t0 in
   Alcotest.(check bool) "was actually preempted" true (legs > 1);
   Testutil.check_seq "same compacted sequence" ref_seq seq;
-  Alcotest.(check bool) "same stats" true (ref_stats = stats)
+  Alcotest.(check bool) "same stats" true (ref_stats = stats);
+  (* On x298 the must-detect set spans several 62-fault groups, so a
+     ctl can expire inside the one simulation a resumed run makes to
+     recompute detection times. That leg commits nothing and hands back
+     the snapshot it resumed from. *)
+  let universe = x_universe "x298" in
+  let t0, _ = Engine.generate ~rng:(Rng.create 5) universe in
+  let ref_seq, ref_stats = Compaction.compact ~max_trials:60 universe t0 in
+  let first =
+    match
+      Compaction.compact ~max_trials:60 ~ctl:(expiring_ctl ~after_calls:5) universe t0
+    with
+    | _ -> Alcotest.fail "expected a preemption"
+    | exception Compaction.Interrupted s -> s
+  in
+  (match first.Compaction.must_detect with
+  | Some md ->
+    Alcotest.(check bool) "more than one 62-fault group" true (Bitset.cardinal md > 62)
+  | None -> Alcotest.fail "expected a snapshot past the baseline");
+  (* Progress committed by an earlier phase sharing the ctl arms the
+     deadline at once; it passes the first group's poll and expires at
+     the second's. *)
+  let ctl = expiring_ctl ~after_calls:2 in
+  Ctl.note_progress ctl;
+  let obs = Obs.create () in
+  (match Compaction.compact ~max_trials:60 ~obs ~ctl ~resume:first universe t0 with
+  | _ -> Alcotest.fail "expected a preemption"
+  | exception Compaction.Interrupted s ->
+    Alcotest.(check bool) "hands back the snapshot it resumed from" true
+      (Compaction.snapshot_equal first s);
+    let spans = List.map fst (Obs.span_seconds obs) in
+    Alcotest.(check bool) "stopped inside the recomputation" true
+      (List.mem "compaction.resume" spans && not (List.mem "compaction.pass" spans)));
+  let seq, stats, _ = compact_in_legs ~max_trials:60 ~resume:first universe t0 in
+  Testutil.check_seq "x298: same compacted sequence" ref_seq seq;
+  Alcotest.(check bool) "x298: same stats" true (ref_stats = stats)
 
 let test_compaction_snapshot_codec () =
   let universe = s27_universe () in

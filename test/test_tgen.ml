@@ -78,6 +78,96 @@ let test_compaction_idempotent_coverage =
          let t0', _ = Compaction.compact universe t0 in
          Bitset.subset before (Fsim.run universe t0').Fsim.detected))
 
+(* The block-omission loop as it was before compaction tracked detection
+   times: every trial re-simulates the whole must-detect set, behind the
+   same 800-fault sampled pre-filter. [Compaction.compact] must match it
+   trial for trial. *)
+module Full_resim = struct
+  let sample_of set cap =
+    let total = Bitset.cardinal set in
+    if total <= cap then set
+    else begin
+      let sample = Bitset.create (Bitset.capacity set) in
+      let stride = total / cap in
+      let i = ref 0 in
+      Bitset.iter
+        (fun id ->
+          if !i mod stride = 0 then Bitset.add sample id;
+          incr i)
+        set;
+      sample
+    end
+
+  let remove_block seq ~start ~len =
+    let n = Tseq.length seq in
+    let stop = min n (start + len) in
+    if start = 0 then
+      if stop >= n then Tseq.empty (Tseq.width seq)
+      else Tseq.sub seq ~lo:stop ~hi:(n - 1)
+    else if stop >= n then Tseq.sub seq ~lo:0 ~hi:(start - 1)
+    else
+      Tseq.concat (Tseq.sub seq ~lo:0 ~hi:(start - 1)) (Tseq.sub seq ~lo:stop ~hi:(n - 1))
+
+  let compact ?initial_block ?(max_trials = max_int) universe seq =
+    let detected ?targets s = (Fsim.run ?targets universe s).Fsim.detected in
+    let must_detect = detected seq in
+    let must_sample = sample_of must_detect 800 in
+    let keeps candidate =
+      Bitset.subset must_sample (detected ~targets:must_sample candidate)
+      && Bitset.subset must_detect (detected ~targets:must_detect candidate)
+    in
+    let initial_length = Tseq.length seq in
+    let current = ref seq and trials = ref 0 and accepted = ref 0 in
+    let block =
+      ref
+        (match initial_block with
+        | Some b -> max 1 b
+        | None -> max 1 (initial_length / 8))
+    in
+    let start = ref (initial_length - !block) in
+    while !block >= 1 && !trials < max_trials do
+      while !start >= 0 && !trials < max_trials do
+        let candidate = remove_block !current ~start:!start ~len:!block in
+        incr trials;
+        if Tseq.length candidate > 0 && keeps candidate then begin
+          incr accepted;
+          current := candidate
+        end;
+        start := !start - !block
+      done;
+      block := if !block = 1 then 0 else !block / 2;
+      if !block >= 1 then start := Tseq.length !current - !block
+    done;
+    ( !current,
+      { Compaction.trials = !trials; accepted = !accepted; initial_length;
+        final_length = Tseq.length !current } )
+end
+
+(* A tgen T0 capped at 160 vectors (the oracle re-simulates every
+   must-detect fault on every trial), compacted at the circuit's
+   experiment budget and at a small block with a budget that ends
+   mid-pass. *)
+let test_compaction_matches_full_resim name () =
+  let entry = Option.get (Bist_bench.Registry.find name) in
+  let circuit = entry.circuit () in
+  let universe = Universe.collapsed circuit in
+  let config = { (Engine.default_config circuit) with Engine.max_length = 160 } in
+  let t0, _ = Engine.generate ~config ~rng:(Bist_util.Rng.create 2026) universe in
+  let budget = Bist_harness.Experiment.budget_for circuit in
+  List.iter
+    (fun (label, initial_block, max_trials) ->
+      let ref_seq, ref_stats =
+        Full_resim.compact ?initial_block ~max_trials universe t0
+      in
+      let seq, stats = Compaction.compact ?initial_block ~max_trials universe t0 in
+      Alcotest.(check string)
+        (label ^ ": same T0 bytes")
+        (Bist_harness.Seq_io.to_string ref_seq)
+        (Bist_harness.Seq_io.to_string seq);
+      Alcotest.(check bool) (label ^ ": same stats") true (ref_stats = stats))
+    [ ("experiment budget", None, budget.compaction_trials);
+      ("40 trials, block 3", Some 3, 40) ]
+
 (* Synth / registry *)
 
 let test_synth_matches_profile () =
@@ -153,6 +243,15 @@ let suite =
       test_compaction_preserves_coverage;
     Alcotest.test_case "compaction budget" `Quick test_compaction_budget;
     test_compaction_idempotent_coverage;
+  ]
+  @ List.map
+      (fun name ->
+        Alcotest.test_case
+          (Printf.sprintf "compaction = full resim (%s)" name)
+          `Quick
+          (test_compaction_matches_full_resim name))
+      [ "s27"; "x298"; "x526"; "x820"; "x1488"; "x641" ]
+  @ [
     Alcotest.test_case "synth matches profile" `Quick test_synth_matches_profile;
     Alcotest.test_case "synth deterministic" `Quick test_synth_deterministic;
     Alcotest.test_case "synth observable" `Quick test_synth_everything_observable;
