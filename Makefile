@@ -83,8 +83,11 @@ check: test test-parallel lint trace-smoke fuzz-smoke interrupt-smoke daemon-smo
 smoke: test
 	dune exec bin/inject.exe -- --smoke
 
+# Micro-benches and ablations, then the paper's tables over the
+# evaluation suite up to x1488 (the two largest circuits skipped).
 bench:
-	dune exec bench/main.exe -- --fast
+	dune exec bench/main.exe
+	dune exec bin/tables.exe -- x298 x344 x382 x400 x526 x641 x820 x1196 x1423 x1488
 
 # Append a timed fault-table run record (sequential vs --jobs pool,
 # with a bit-identity check) to the committed perf trajectory.

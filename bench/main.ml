@@ -4,12 +4,9 @@
    ablation benches called out in DESIGN.md, measured on fixed fast
    workloads so the timings are comparable run to run.
 
-   Part 2 (tables): regenerate Tables 3, 4 and 5, the measured-vs-paper
-   comparison, and Figure 1 by running the full experiment pipeline over
-   the evaluation suite. `--fast` restricts the suite to the circuits up
-   to x1488; `--micro-only` / `--tables-only` select one part.
+   The paper's tables come from `bin/tables.exe`, not from here.
 
-   Part 3 (`--json PATH`): the recorded trajectory. Wall-times the
+   Part 2 (`--json PATH`): the recorded trajectory. Wall-times the
    fault-table workloads sequentially and on a `--jobs`-wide domain pool,
    verifies the two tables are bit-identical, and appends one run record
    to the JSON array at PATH (see BENCH_results.json at the repo root) so
@@ -165,31 +162,7 @@ let run_ablation_quality () =
   print_endline "== Ablation quality on x298 (n = 4) ==";
   print_string (Bist_harness.Ablation.render rows)
 
-let run_tables ~fast () =
-  let circuits =
-    if fast then
-      Some
-        [ "x298"; "x344"; "x382"; "x400"; "x526"; "x641"; "x820"; "x1196";
-          "x1423"; "x1488" ]
-    else None
-  in
-  let results =
-    Bist_harness.Experiment.run_suite ?circuits
-      ~progress:(fun line -> Printf.eprintf "%s\n%!" line)
-      ()
-  in
-  print_newline ();
-  print_string (Bist_harness.Tables.table3 results);
-  print_newline ();
-  print_string (Bist_harness.Tables.table4 results);
-  print_newline ();
-  print_string (Bist_harness.Tables.table5 results);
-  print_newline ();
-  print_string (Bist_harness.Tables.comparison results);
-  print_newline ();
-  print_string (Bist_harness.Figure1.render_s27 ())
-
-(* Part 3: the recorded trajectory (`--json PATH`). *)
+(* Part 2: the recorded trajectory (`--json PATH`). *)
 
 module Pool = Bist_parallel.Pool
 module Fault_table = Bist_fault.Fault_table
@@ -575,10 +548,6 @@ let () =
       Printf.eprintf "error: --trace/--stats apply to the --json trajectory run\n";
       exit 2
     end;
-    if not (has "--tables-only") then begin
-      run_micro ();
-      print_newline ();
-      run_ablation_quality ();
-      print_newline ()
-    end;
-    if not (has "--micro-only") then run_tables ~fast:(has "--fast") ()
+    run_micro ();
+    print_newline ();
+    run_ablation_quality ()

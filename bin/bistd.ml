@@ -573,7 +573,7 @@ let () =
         quarantine_cmd; chaos_cmd ]
   in
   match Cmd.eval' ~catch:false ~term_err:2 group with
-  | code -> exit code
+  | code -> exit (Bist_cli.exit_code code)
   | exception Unix.Unix_error (e, fn, arg) ->
     err "%s: %s %s" fn (Unix.error_message e) arg;
     exit 1

@@ -19,10 +19,18 @@ let circuit_arg =
 let seed_arg =
   Arg.(value & opt int 2026 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+(* -n below 1 is a usage error (exit 2), checked before any work. *)
+let positive_n n =
+  Bist_cli.require_positive ~flag:"-n" n;
+  n
+
 let n_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "n" ] ~docv:"N" ~doc:"Repetition count of the expansion (Sexp = 8nL).")
+  Term.(
+    const positive_n
+    $ Arg.(
+        value & opt int 4
+        & info [ "n" ] ~docv:"N"
+            ~doc:"Repetition count of the expansion (Sexp = 8nL)."))
 
 let universe_of circuit = Bist_fault.Universe.collapsed circuit
 
@@ -36,14 +44,8 @@ let jobs_arg =
           "Worker domains for fault simulation (0 = auto: min(cores, 8); 1 = \
            sequential). Results are bit-identical for every value.")
 
-let pool_of_jobs jobs =
-  let jobs = Bist_parallel.Pool.validate_jobs ~source:"--jobs" jobs in
-  let jobs = if jobs = 0 then Bist_parallel.Pool.default_jobs () else jobs in
-  if jobs <= 1 then None else Some (Bist_parallel.Pool.create ~jobs ())
-
 (* Observability: --trace buffers Chrome trace events, --stats prints the
-   per-phase summary. Without either flag the sink is Obs.null and the
-   instrumented hot paths cost one branch. *)
+   per-phase summary (Bist_cli.with_obs). *)
 
 let trace_arg =
   Arg.(
@@ -58,42 +60,11 @@ let stats_arg =
     value & flag
     & info [ "stats" ] ~doc:"Print the per-phase timing summary to stderr.")
 
-let with_obs ~trace ~stats f =
-  if trace = None && not stats then f Bist_obs.Obs.null
-  else begin
-    let obs = Bist_obs.Obs.create ~trace:(trace <> None) () in
-    let finish () =
-      (match trace with
-      | Some path ->
-        Bist_obs.Obs.write_trace obs path;
-        Format.eprintf "wrote %s (%d trace events)@." path
-          (Bist_obs.Obs.trace_events obs)
-      | None -> ());
-      if stats then prerr_string (Bist_obs.Obs.summary obs)
-    in
-    match f obs with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      (* The trace up to the failure is often exactly what's needed to
-         debug it; flush before re-raising. *)
-      finish ();
-      raise e
-  end
-
 (* Preemption and checkpointing: --deadline bounds the wall-clock budget,
    --checkpoint names where a preempted run serializes its progress,
-   --resume continues from such a file. SIGINT/SIGTERM are converted into
-   a cooperative cancellation when a checkpoint path is armed, so an
-   interrupted run exits 3 with a resumable file instead of dying. *)
+   --resume continues from such a file (Bist_cli.make_ctl arms them). *)
 
-module Ctl = Bist_resilience.Ctl
 module Checkpoint = Bist_resilience.Checkpoint
-module Ckio = Bist_resilience.Checkpoint.Io
-
-exception
-  Preempted_run of { reason : Ctl.reason; checkpoint : string option }
 
 let deadline_arg =
   Arg.(
@@ -123,45 +94,8 @@ let resume_arg =
            parameters. The final result is bit-identical to an \
            uninterrupted run.")
 
-let make_ctl ~deadline ~checkpoint =
-  match (deadline, checkpoint) with
-  | None, None -> None
-  | _ ->
-    (match deadline with
-    | Some s when s <= 0.0 ->
-      Printf.eprintf "error: --deadline must be positive (got %g)\n" s;
-      exit 2
-    | _ -> ());
-    let cancel = Bist_resilience.Cancel.create () in
-    let deadline = Option.map Bist_resilience.Deadline.after deadline in
-    (* Cancel.request is a single atomic store — async-signal-safe. The
-       handler is installed only when preemption is armed, so plain runs
-       keep the default die-on-signal behaviour. A second signal while
-       the graceful cancel + checkpoint write is still in flight is a
-       force-quit: exit 130 immediately (Unix._exit skips at_exit, so a
-       wedged domain join cannot swallow the quit; the checkpoint stays
-       consistent because Atomic_io only ever renames complete files). *)
-    if checkpoint <> None then begin
-      let signals = ref 0 in
-      let handler =
-        Sys.Signal_handle
-          (fun _ ->
-            incr signals;
-            if !signals > 1 then Unix._exit 130
-            else Bist_resilience.Cancel.request cancel)
-      in
-      Sys.set_signal Sys.sigint handler;
-      Sys.set_signal Sys.sigterm handler
-    end;
-    Some (Ctl.create ?deadline ~cancel ())
-
 let fingerprint_of circuit =
   Bist_resilience.Crc32.string (Bist_circuit.Bench_writer.to_string circuit)
-
-let stop_reason_of ctl =
-  match ctl with
-  | Some c -> Option.value (Ctl.stop_reason c) ~default:Ctl.Cancelled
-  | None -> Ctl.Cancelled
 
 (* stats *)
 
@@ -207,8 +141,8 @@ let faultsim_cmd =
     let universe = universe_of circuit in
     let seq = Bist_harness.Seq_io.load seq_file in
     let tbl =
-      with_obs ~trace ~stats (fun obs ->
-          Bist_fault.Fault_table.compute ~obs ?pool:(pool_of_jobs jobs) universe
+      Bist_cli.with_obs ~trace ~stats (fun obs ->
+          Bist_fault.Fault_table.compute ~obs ?pool:(Bist_cli.pool_of_jobs jobs) universe
             seq)
     in
     Format.printf "detected %d / %d faults (coverage %.2f%%)@."
@@ -241,10 +175,10 @@ let tgen_cmd =
       { Bist_tgen.Run.seed; directed; trials; sat_budget; sat_frames;
         sat_conflicts }
     in
-    let pool = pool_of_jobs jobs in
-    let ctl = make_ctl ~deadline ~checkpoint in
+    let pool = Bist_cli.pool_of_jobs jobs in
+    let ctl = Bist_cli.make_ctl ~deadline ~checkpoint in
     let t0, stats, cstats =
-      with_obs ~trace ~stats:stats_flag (fun obs ->
+      Bist_cli.with_obs ~trace ~stats:stats_flag (fun obs ->
           let resumed =
             match resume with
             | None -> None
@@ -283,7 +217,9 @@ let tgen_cmd =
                   Checkpoint.save ~path
                     { Checkpoint.kind = "tgen"; circuit = name; fingerprint;
                       payload = Bist_tgen.Run.encode_payload params stage }));
-            raise (Preempted_run { reason = stop_reason_of ctl; checkpoint }))
+            raise
+              (Bist_cli.Preempted_run
+                 { reason = Bist_cli.stop_reason ctl; checkpoint }))
     in
     Format.printf
       "T0: %d vectors (raw %d), detects %d / %d faults (%.2f%%)@."
@@ -468,7 +404,7 @@ let select_cmd =
       else Bist_core.Procedure2.paper_strategy
     in
     let run_result =
-      with_obs ~trace ~stats (fun obs ->
+      Bist_cli.with_obs ~trace ~stats (fun obs ->
           match n with
           | Some n ->
             Bist_core.Scheme.execute ~strategy ~seed ~n ~t0 ~obs universe
@@ -487,8 +423,10 @@ let select_cmd =
     | None -> List.iter (fun s -> print_string (Bist_harness.Seq_io.to_string s ^ "--\n")) b.sequences
   in
   let n_opt =
-    Arg.(value & opt (some int) None & info [ "n" ] ~docv:"N"
-           ~doc:"Repetition count; omit to sweep {2,4,8,16} and keep the best.")
+    Term.(
+      const (Option.map positive_n)
+      $ Arg.(value & opt (some int) None & info [ "n" ] ~docv:"N"
+               ~doc:"Repetition count; omit to sweep {2,4,8,16} and keep the best."))
   in
   let fast_flag =
     Arg.(value & flag & info [ "fast" ] ~doc:"Use the fast Procedure-2 strategy.")
@@ -717,36 +655,15 @@ let () =
   (* ~catch:false so typed domain errors reach us instead of cmdliner's
      backtrace printer; each has a registered printer with the context
      (file/line, fault name) a user needs. *)
-  match Cmd.eval ~catch:false ~term_err:2 group with
-  | code -> exit code
-  | exception Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 2
-  | exception
-      (( Bist_harness.Seq_io.Parse_error _
-       | Bist_circuit.Bench_parser.Parse_error _
-       | Bist_circuit.Blif_parser.Parse_error _
-       | Bist_circuit.Names.Invalid_name _
-       | Bist_bench.Loader.Usage_error _
-       | Bist_core.Procedure2.Undetected _
-       | Bist_core.Procedure1.Undetected_target _
-       | Checkpoint.Corrupt _ | Checkpoint.Mismatch _ ) as e) ->
-    Printf.eprintf "error: %s\n" (Printexc.to_string e);
-    exit 2
-  | exception Preempted_run { reason; checkpoint } ->
-    (match checkpoint with
-    | Some path ->
-      Printf.eprintf
-        "preempted (%s): checkpoint written to %s — resume with --resume %s\n"
-        (Ctl.reason_name reason) path path
-    | None ->
-      Printf.eprintf
-        "preempted (%s): no --checkpoint path was given, progress discarded\n"
-        (Ctl.reason_name reason));
-    exit 3
-  | exception Ctl.Preempted reason ->
-    (* A phase without resumable state (faultsim, select) was preempted;
-       there is nothing to write, but the exit code still says why. *)
-    Printf.eprintf "preempted (%s): this phase keeps no resumable state\n"
-      (Ctl.reason_name reason);
-    exit 3
+  Bist_cli.main
+    ~bad_input:(function
+      | Bist_harness.Seq_io.Parse_error _
+      | Bist_circuit.Bench_parser.Parse_error _
+      | Bist_circuit.Blif_parser.Parse_error _
+      | Bist_circuit.Names.Invalid_name _
+      | Bist_bench.Loader.Usage_error _
+      | Bist_core.Procedure2.Undetected _
+      | Bist_core.Procedure1.Undetected_target _
+      | Checkpoint.Corrupt _ | Checkpoint.Mismatch _ -> true
+      | _ -> false)
+    (fun () -> Cmd.eval ~catch:false ~term_err:2 group)

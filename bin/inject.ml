@@ -7,12 +7,8 @@
 open Cmdliner
 module Campaign = Bist_inject.Campaign
 module Session = Bist_hw.Session
-module Ctl = Bist_resilience.Ctl
 module Checkpoint = Bist_resilience.Checkpoint
 module Ckio = Bist_resilience.Checkpoint.Io
-
-exception
-  Preempted_run of { reason : Ctl.reason; checkpoint : string option }
 
 let defense_of_name = function
   | "hardened" -> Ok Session.hardened
@@ -47,39 +43,6 @@ let resolve_circuits specs =
   | [] -> [ Bist_bench.Registry.s27 ]
   | [ "all" ] -> Bist_bench.Registry.all ()
   | specs -> List.map entry_of_spec specs
-
-let pool_of_jobs jobs =
-  let jobs = Bist_parallel.Pool.validate_jobs ~source:"--jobs" jobs in
-  let jobs = if jobs = 0 then Bist_parallel.Pool.default_jobs () else jobs in
-  if jobs <= 1 then None else Some (Bist_parallel.Pool.create ~jobs ())
-
-let make_ctl ~deadline ~checkpoint =
-  match (deadline, checkpoint) with
-  | None, None -> None
-  | _ ->
-    (match deadline with
-    | Some s when s <= 0.0 ->
-      Printf.eprintf "error: --deadline must be positive (got %g)\n" s;
-      exit 2
-    | _ -> ());
-    let cancel = Bist_resilience.Cancel.create () in
-    let deadline = Option.map Bist_resilience.Deadline.after deadline in
-    if checkpoint <> None then begin
-      (* First signal: cooperative preemption (checkpoint at the next
-         wave boundary, exit 3). Second: the user means now — force-quit
-         with the conventional 130, skipping at_exit. *)
-      let signals = ref 0 in
-      let handler =
-        Sys.Signal_handle
-          (fun _ ->
-            incr signals;
-            if !signals > 1 then Unix._exit 130
-            else Bist_resilience.Cancel.request cancel)
-      in
-      Sys.set_signal Sys.sigint handler;
-      Sys.set_signal Sys.sigterm handler
-    end;
-    Some (Ctl.create ?deadline ~cancel ())
 
 (* The inject checkpoint covers the whole multi-circuit invocation: a
    parameter echo (seed, count, defense name, n, the circuit list — a
@@ -188,13 +151,7 @@ let run_campaigns ~config ~defense_name ~obs ?pool ~ctl ~checkpoint ~resume
               payload =
                 encode_inject_payload ~config ~defense_name ~names ~completed
                   ~current }));
-    raise
-      (Preempted_run
-         { reason =
-             (match ctl with
-             | Some c -> Option.value (Ctl.stop_reason c) ~default:Ctl.Cancelled
-             | None -> Ctl.Cancelled);
-           checkpoint })
+    raise (Bist_cli.Preempted_run { reason = Bist_cli.stop_reason ctl; checkpoint })
   in
   let done_campaigns = ref completed0 in
   let skip = List.length completed0 in
@@ -214,21 +171,6 @@ let run_campaigns ~config ~defense_name ~obs ?pool ~ctl ~checkpoint ~resume
   | Some path when Sys.file_exists path -> Sys.remove path
   | _ -> ());
   !done_campaigns
-
-let with_obs ~trace ~stats f =
-  if trace = None && not stats then f Bist_obs.Obs.null
-  else begin
-    let obs = Bist_obs.Obs.create ~trace:(trace <> None) () in
-    let result = f obs in
-    (match trace with
-    | Some path ->
-      Bist_obs.Obs.write_trace obs path;
-      Printf.eprintf "wrote %s (%d trace events)\n" path
-        (Bist_obs.Obs.trace_events obs)
-    | None -> ());
-    if stats then prerr_string (Bist_obs.Obs.summary obs);
-    result
-  end
 
 let print_campaigns ~verbose campaigns =
   print_string (Bist_harness.Inject_report.summary campaigns);
@@ -285,14 +227,8 @@ let smoke seed count =
 
 let main circuits seed count defense n smoke_flag verbose jobs trace stats
     deadline checkpoint resume =
-  if count < 1 then begin
-    Printf.eprintf "error: --count must be >= 1 (got %d)\n" count;
-    exit 2
-  end;
-  if n < 1 then begin
-    Printf.eprintf "error: --n must be >= 1 (got %d)\n" n;
-    exit 2
-  end;
+  Bist_cli.require_positive ~flag:"--count" count;
+  Bist_cli.require_positive ~flag:"-n" n;
   match defense_of_name defense with
   | Error msg ->
     Printf.eprintf "error: %s\n" msg;
@@ -303,10 +239,10 @@ let main circuits seed count defense n smoke_flag verbose jobs trace stats
       let config =
         { Campaign.default_config with seed; count; defense = defense_cfg; n }
       in
-      let pool = pool_of_jobs jobs in
-      let ctl = make_ctl ~deadline ~checkpoint in
+      let pool = Bist_cli.pool_of_jobs jobs in
+      let ctl = Bist_cli.make_ctl ~deadline ~checkpoint in
       let campaigns =
-        with_obs ~trace ~stats (fun obs ->
+        Bist_cli.with_obs ~trace ~stats (fun obs ->
             run_campaigns ~config ~defense_name:defense ~obs ?pool ~ctl
               ~checkpoint ~resume (resolve_circuits circuits))
       in
@@ -409,29 +345,11 @@ let () =
         $ smoke_arg $ verbose_arg $ jobs_arg $ trace_arg $ stats_arg
         $ deadline_arg $ checkpoint_arg $ resume_arg)
   in
-  match Cmd.eval' ~catch:false ~term_err:2 cmd with
-  | code -> exit code
-  | exception Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 2
-  | exception
-      (( Bist_harness.Seq_io.Parse_error _
-       | Bist_circuit.Bench_parser.Parse_error _
-       | Bist_circuit.Blif_parser.Parse_error _
-       | Checkpoint.Corrupt _ | Checkpoint.Mismatch _ ) as e) ->
-    Printf.eprintf "error: %s\n" (Printexc.to_string e);
-    exit 2
-  | exception Preempted_run { reason; checkpoint } ->
-    (match checkpoint with
-    | Some path ->
-      Printf.eprintf
-        "preempted (%s): checkpoint written to %s — resume with --resume %s\n"
-        (Ctl.reason_name reason) path path
-    | None ->
-      Printf.eprintf
-        "preempted (%s): no --checkpoint path was given, progress discarded\n"
-        (Ctl.reason_name reason));
-    exit 3
-  | exception Ctl.Preempted reason ->
-    Printf.eprintf "preempted (%s)\n" (Ctl.reason_name reason);
-    exit 3
+  Bist_cli.main
+    ~bad_input:(function
+      | Bist_harness.Seq_io.Parse_error _
+      | Bist_circuit.Bench_parser.Parse_error _
+      | Bist_circuit.Blif_parser.Parse_error _
+      | Checkpoint.Corrupt _ | Checkpoint.Mismatch _ -> true
+      | _ -> false)
+    (fun () -> Cmd.eval' ~catch:false ~term_err:2 cmd)

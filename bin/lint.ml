@@ -136,11 +136,12 @@ let () =
     Cmd.info "lint" ~version:"1.0.0"
       ~doc:"Static testability analysis and structural diagnostics for netlists"
   in
-  (* ~term_err:2 aligns usage errors with the repo-wide exit contract:
-     0 clean, 1 findings/over budget, 2 usage. *)
+  (* ~term_err:2 and Bist_cli.exit_code align usage errors with the
+     repo-wide exit contract: 0 clean, 1 findings/over budget, 2 usage. *)
   exit
-    (Cmd.eval ~term_err:2
-       (Cmd.v info
-          Term.(
-            const run $ specs_arg $ json_flag $ max_warnings_arg $ quiet_flag
-            $ sat_flag $ sat_frames_arg $ sat_conflicts_arg $ sat_cap_arg)))
+    (Bist_cli.exit_code
+       (Cmd.eval ~term_err:2
+          (Cmd.v info
+             Term.(
+               const run $ specs_arg $ json_flag $ max_warnings_arg $ quiet_flag
+               $ sat_flag $ sat_frames_arg $ sat_conflicts_arg $ sat_cap_arg))))

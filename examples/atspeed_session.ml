@@ -65,8 +65,6 @@ let () =
   let fault = Bist_fault.Universe.get universe 0 in
   Format.printf "injecting %s and recomputing signatures:@."
     (Bist_fault.Fault.name circuit fault);
-  let sim = Bist_fault.Fsim.single circuit fault in
-  ignore (sim : Bist_fault.Fsim.single);
   let detected =
     List.exists
       (fun s ->

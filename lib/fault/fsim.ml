@@ -1,6 +1,5 @@
 module Tseq = Bist_logic.Tseq
 module Bitset = Bist_util.Bitset
-module Packed_sim = Bist_sim.Packed_sim
 module Ppsfp = Bist_sim.Ppsfp
 module Obs = Bist_obs.Obs
 
@@ -97,25 +96,24 @@ let coverage outcome =
   float_of_int (Bitset.cardinal outcome.detected)
   /. float_of_int (Universe.size outcome.universe)
 
-type single = { sim : Packed_sim.t }
+(* The fault sits in lane 1. The trace buffer is reused by every
+   candidate sequence, so a [single] must stay in one domain. *)
+type single = { sim : Ppsfp.t; tr : Ppsfp.trace }
 
 let single circuit fault =
-  let sim = Packed_sim.create circuit in
-  let mask = 0b10 (* lane 1; lane 0 is the fault-free machine *) in
-  (match (fault : Fault.t) with
-  | { site = Fault.Output n; stuck } -> Packed_sim.add_output_force sim n ~mask stuck
-  | { site = Fault.Pin { gate; pin }; stuck } ->
-    Packed_sim.add_pin_force sim ~gate ~pin ~mask stuck);
-  { sim }
+  let sim = Ppsfp.create circuit in
+  install sim fault ~lane:1;
+  { sim; tr = Ppsfp.trace sim (Tseq.empty (Bist_circuit.Netlist.num_inputs circuit)) }
 
 let single_detection_time s seq =
-  Packed_sim.reset s.sim;
+  Ppsfp.retrace s.tr seq;
+  Ppsfp.reset s.sim;
   let len = Tseq.length seq in
   let rec go u =
     if u >= len then None
     else begin
-      Packed_sim.step s.sim (Tseq.get seq u);
-      if Packed_sim.po_diff_lanes s.sim <> 0 then Some u else go (u + 1)
+      Ppsfp.step s.sim s.tr u;
+      if Ppsfp.po_diff_lanes s.sim <> 0 then Some u else go (u + 1)
     end
   in
   go 0

@@ -6,14 +6,15 @@
     value in the fault-free machine and the opposite binary value in the
     faulty machine at time [u].
 
-    {!run} packs the fault-free machine into lane 0 of a packed word and
-    up to 62 faulty machines into the remaining lanes, so one pass over
-    the sequence simulates a group of 62 faults. Its kernel is the
-    event-driven {!Bist_sim.Ppsfp} core (shared fault-free trace, fault
-    dropping, quiescent levels skipped). The single-fault path below
-    runs the full-sweep {!Bist_sim.Packed_sim} kernel. The differential
-    test suite checks {!run} against a {!Bist_sim.Packed_sim} group loop
-    and against scalar simulation of structurally mutated netlists. *)
+    Everything here runs on one kernel, the event-driven
+    {!Bist_sim.Ppsfp} core (shared fault-free trace, fault dropping,
+    quiescent levels skipped). {!run} packs the fault-free machine into
+    lane 0 of a packed word and up to 62 faulty machines into the
+    remaining lanes, so one pass over the sequence simulates a group of
+    62 faults; the single-fault path below puts its one fault in lane 1.
+    The differential test suite checks both against a test-local
+    full-sweep packed simulator and {!run} also against scalar
+    simulation of structurally mutated netlists. *)
 
 type outcome = {
   universe : Universe.t;
@@ -58,12 +59,18 @@ val run :
 val coverage : outcome -> float
 (** Detected targets / universe size. *)
 
+val install : Bist_sim.Ppsfp.t -> Fault.t -> lane:int -> unit
+(** Force the fault into one lane (1..62) of the simulator. *)
+
 (** {2 Single-fault fast path}
 
     Procedure 2 simulates one fault under many candidate sequences; this
     path reuses the compiled simulator across calls. *)
 
 type single
+(** One fault installed in a compiled simulator, plus the fault-free
+    trace buffer that every candidate sequence reuses. The buffer is
+    mutable state: a [single] must not be shared across domains. *)
 
 val single : Bist_circuit.Netlist.t -> Fault.t -> single
 

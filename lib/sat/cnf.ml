@@ -1,7 +1,7 @@
 (* Shared CNF view of a netlist: a Tseitin encoding of the fault-free
    machine unrolled for [frames] time frames from the all-X reset
-   state, in the dual-rail representation that mirrors
-   [Bist_sim.Packed_sim]'s two planes.
+   state, in the dual-rail representation that mirrors the two planes
+   of the packed fault kernel [Bist_sim.Ppsfp].
 
    Every circuit line at every frame is a pair of rails [(one, zero)]:
    [one] true means the line is binary 1, [zero] true means binary 0,
@@ -280,7 +280,7 @@ let encode_fault v sink (fault : Bist_fault.Fault.t) =
          (Solver.neg excite :: List.filter (fun l -> l <> const_false) erails));
   (* Detection selector: at some frame some primary output is binary in
      the fault-free machine and the opposite binary value in the faulty
-     machine — [Packed_sim]'s diff mask, literally. *)
+     machine — [Ppsfp]'s detection mask, literally. *)
   let ts = ref [] in
   for f = 0 to k - 1 do
     Array.iter

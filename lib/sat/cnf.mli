@@ -1,7 +1,7 @@
 (** Shared CNF view of a netlist: dual-rail Tseitin encoding with
     k-frame time-frame expansion from the all-X reset state.
 
-    The encoding mirrors {!Bist_sim.Packed_sim}'s two planes exactly —
+    The encoding mirrors {!Bist_sim.Ppsfp}'s two planes exactly —
     each line at each frame is a pair of rails [(one, zero)], both
     false meaning X — so SAT/UNSAT verdicts agree with
     {!Bist_fault.Fsim} on every input sequence of length [<= frames].

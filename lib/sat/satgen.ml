@@ -7,10 +7,10 @@
    unreachable within the bound — then under the detection selector —
    UNSAT proves propagation blocked, a model decodes into an input
    sequence. Every decoded test is validated (and trimmed to its first
-   detection) against the packed fault simulator before being
-   returned; a model that fails simulation would mean the encoding and
-   the simulator disagree, which [Error_kind] surfaces loudly instead
-   of silently dropping coverage. *)
+   detection) against the fault simulator ([Fsim.single], on the
+   [Ppsfp] kernel) before being returned; a model that fails simulation
+   would mean the encoding and the simulator disagree, which
+   [Error_kind] surfaces loudly instead of silently dropping coverage. *)
 
 module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector

@@ -3,14 +3,14 @@ module Tseq = Bist_logic.Tseq
 module Netlist = Bist_circuit.Netlist
 module Gate = Bist_circuit.Gate
 
-(* The kernel works on the same two-plane packed encoding as Packed_sim:
-   ones/zeros ints, one lane per bit, lane 0 = fault-free machine. The
-   difference is what gets evaluated. The fault-free machine is simulated
-   once per sequence into a byte-per-node-per-step trace; a group pass
-   then evaluates a gate only when one of its fanins' packed words
-   actually differs from the fault-free broadcast (or the gate carries a
-   force). A node without a current-step value stamp implicitly holds the
-   broadcast of its trace byte.
+(* The kernel works on a two-plane packed encoding: ones/zeros ints, one
+   lane per bit, lane 0 = fault-free machine. What it saves is
+   evaluation. The fault-free machine is simulated once per sequence into
+   a byte-per-node-per-step trace; a group pass then evaluates a gate
+   only when one of its fanins' packed words actually differs from the
+   fault-free broadcast (or the gate carries a force). A node without a
+   current-step value stamp implicitly holds the broadcast of its trace
+   byte.
 
    "Differs from fault-free" is checked against lane 0 of the word
    itself: lane 0 is never forced, so a word is clean iff every lane
@@ -208,9 +208,11 @@ let po_diff_lanes t = t.diff_lanes
 
 (* --- the fault-free trace ------------------------------------------- *)
 
+type snapshot = { snap_ones : int array; snap_zeros : int array }
+
 type trace = {
   tr_circuit : Netlist.t;
-  seq : Tseq.t;
+  mutable seq : Tseq.t;
   tr_n : int;
   mutable data : Bytes.t; (* [upto * tr_n] materialized bytes *)
   mutable upto : int;
@@ -244,9 +246,36 @@ let trace t seq = {
 
 let trace_length tr = tr.upto
 
+let retrace ?from tr seq =
+  tr.seq <- seq;
+  tr.upto <- 0;
+  match from with
+  | None -> Array.fill tr.g_state 0 (Array.length tr.g_state) 0
+  | Some s ->
+    if Array.length s.snap_ones <> Array.length tr.g_state then
+      invalid_arg "Ppsfp.retrace: snapshot of a different circuit";
+    (* Lane 0 of the snapshot, as trace codes. *)
+    Array.iteri
+      (fun i o -> tr.g_state.(i) <- (o land 1) lor ((s.snap_zeros.(i) land 1) lsl 1))
+      s.snap_ones
+
+let good_value tr u node =
+  if u < 0 || u >= tr.upto || node < 0 || node >= tr.tr_n then
+    invalid_arg "Ppsfp.good_value: step not simulated or node out of range";
+  match Char.code (Bytes.get tr.data ((u * tr.tr_n) + node)) with
+  | 1 -> T.One
+  | 2 -> T.Zero
+  | _ -> T.X
+
 (* Scalar ternary evaluation over 2-bit codes, with exactly the packed
    kernel's bitwise formulas applied to 1-bit planes — so the trace and
-   lane 0 of a packed pass can never disagree. *)
+   lane 0 of a packed pass can never disagree. A fanin's code feeds the
+   one-plane formula whole and the zero-plane formula shifted right by
+   one: bit 0 of each accumulator evolves as the 1-bit plane does, and
+   the higher bits, which no formula mixes into bit 0, are masked off
+   before the code is stored. The loops are written out (no closures,
+   two-input AND/OR unrolled), since a single-fault caller pays this
+   sweep on every step of every candidate. *)
 let trace_step tr =
   let u = tr.upto in
   let n = tr.tr_n in
@@ -259,19 +288,24 @@ let trace_step tr =
   end;
   let base = u * n in
   let data = tr.data in
-  let put node c = Bytes.unsafe_set data (base + node) (Char.unsafe_chr c) in
-  let code node = Char.code (Bytes.unsafe_get data (base + node)) in
   let vec = Tseq.get tr.seq u in
-  Array.iteri
-    (fun i node ->
-      put node
-        (match Bist_logic.Vector.get vec i with
-        | T.One -> 1
-        | T.Zero -> 2
-        | T.X -> 0))
-    tr.g_pis;
-  Array.iteri (fun i node -> put node tr.g_state.(i)) tr.g_dffs;
-  let topo = tr.g_topo in
+  let pis = tr.g_pis in
+  for i = 0 to Array.length pis - 1 do
+    let c =
+      match Bist_logic.Vector.get vec i with
+      | T.One -> 1
+      | T.Zero -> 2
+      | T.X -> 0
+    in
+    Bytes.unsafe_set data (base + Array.unsafe_get pis i) (Char.unsafe_chr c)
+  done;
+  let dffs = tr.g_dffs and state = tr.g_state in
+  for i = 0 to Array.length dffs - 1 do
+    Bytes.unsafe_set data
+      (base + Array.unsafe_get dffs i)
+      (Char.unsafe_chr (Array.unsafe_get state i))
+  done;
+  let topo = tr.g_topo and fan = tr.g_fan in
   for i = 0 to Array.length topo - 1 do
     let node = Array.unsafe_get topo i in
     let kind = Array.unsafe_get tr.g_kind node in
@@ -279,39 +313,54 @@ let trace_step tr =
     let len = Array.unsafe_get tr.g_len node in
     let o = ref 0 and z = ref 0 in
     (match kind with
+    | (2 | 3) when len = 2 ->
+      let a = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan off)) in
+      let b = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan (off + 1))) in
+      o := a land b;
+      z := (a lor b) lsr 1
+    | (4 | 5) when len = 2 ->
+      let a = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan off)) in
+      let b = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan (off + 1))) in
+      o := a lor b;
+      z := (a land b) lsr 1
     | 2 | 3 ->
       o := 1;
       for j = off to off + len - 1 do
-        let c = code (Array.unsafe_get tr.g_fan j) in
-        o := !o land (c land 1);
-        z := !z lor ((c lsr 1) land 1)
+        let c = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan j)) in
+        o := !o land c;
+        z := !z lor (c lsr 1)
       done
     | 4 | 5 ->
       z := 1;
       for j = off to off + len - 1 do
-        let c = code (Array.unsafe_get tr.g_fan j) in
-        o := !o lor (c land 1);
-        z := !z land ((c lsr 1) land 1)
+        let c = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan j)) in
+        o := !o lor c;
+        z := !z land (c lsr 1)
       done
     | 6 | 7 ->
       z := 1;
       for j = off to off + len - 1 do
-        let c = code (Array.unsafe_get tr.g_fan j) in
-        let io = c land 1 and iz = (c lsr 1) land 1 in
+        let c = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan j)) in
+        let io = c land 1 and iz = c lsr 1 in
         let no = (!o land iz) lor (!z land io) in
         z := (!o land io) lor (!z land iz);
         o := no
       done
     | 0 | 1 ->
-      let c = code (Array.unsafe_get tr.g_fan off) in
-      o := c land 1;
-      z := (c lsr 1) land 1
+      let c = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan off)) in
+      o := c;
+      z := c lsr 1
     | 8 -> z := 1
     | _ -> o := 1);
-    let o, z = if kind land 1 = 1 && kind < 8 && kind >= 0 then (!z, !o) else (!o, !z) in
-    put node (o lor (z lsl 1))
+    let o = !o land 1 and z = !z land 1 in
+    let c = if kind land 1 = 1 && kind < 8 then z lor (o lsl 1) else o lor (z lsl 1) in
+    Bytes.unsafe_set data (base + node) (Char.unsafe_chr c)
   done;
-  Array.iteri (fun i d -> tr.g_state.(i) <- code d) tr.g_dff_d;
+  let dff_d = tr.g_dff_d in
+  for i = 0 to Array.length dff_d - 1 do
+    Array.unsafe_set state i
+      (Char.code (Bytes.unsafe_get data (base + Array.unsafe_get dff_d i)))
+  done;
   tr.upto <- u + 1
 
 let trace_ensure tr u =
@@ -387,13 +436,42 @@ let clear_forces t =
   t.pin_forced_comb <- [];
   t.pin_forced_dffs <- []
 
+let rearm t =
+  t.diff_lanes <- 0;
+  t.full_mode <- false;
+  t.activity <- 0.0
+
 let reset t =
   Array.fill t.state_ones 0 (Array.length t.state_ones) 0;
   Array.fill t.state_zeros 0 (Array.length t.state_zeros) 0;
   Array.fill t.ff_dirty 0 (Array.length t.ff_dirty) false;
-  t.diff_lanes <- 0;
-  t.full_mode <- false;
-  t.activity <- 0.0
+  rearm t
+
+let save_state t =
+  { snap_ones = Array.copy t.state_ones; snap_zeros = Array.copy t.state_zeros }
+
+let restore_state t s =
+  if Array.length s.snap_ones <> Array.length t.state_ones then
+    invalid_arg "Ppsfp.restore_state: snapshot of a different circuit";
+  Array.blit s.snap_ones 0 t.state_ones 0 (Array.length s.snap_ones);
+  Array.blit s.snap_zeros 0 t.state_zeros 0 (Array.length s.snap_zeros);
+  Array.iteri
+    (fun i o ->
+      let z = s.snap_zeros.(i) in
+      t.ff_dirty.(i) <- o <> -(o land 1) || z <> -(z land 1))
+    s.snap_ones;
+  rearm t
+
+let state_diff_count t ~lane =
+  if lane < 1 || lane >= 63 then invalid_arg "Ppsfp.state_diff_count: lane";
+  let m = 1 lsl lane in
+  let count = ref 0 in
+  for i = 0 to Array.length t.state_ones - 1 do
+    let o = t.state_ones.(i) and z = t.state_zeros.(i) in
+    if (o land 1 <> 0 && z land m <> 0) || (z land 1 <> 0 && o land m <> 0) then
+      incr count
+  done;
+  !count
 
 let drop_lanes t mask =
   let mask = mask land lnot 1 in
@@ -623,19 +701,27 @@ let clock t =
     t.ff_dirty.(i) <- !o <> -(!o land 1) || !z <> -(!z land 1)
   done
 
+let rec seed_pis t = function
+  | [] -> ()
+  | p :: rest ->
+    let c = Char.code (Bytes.unsafe_get t.trd (t.tr_base + p)) in
+    seed_source t p (-(c land 1)) (-((c lsr 1) land 1));
+    seed_pis t rest
+
+let rec schedule_all t = function
+  | [] -> ()
+  | g :: rest ->
+    schedule t g;
+    schedule_all t rest
+
 let step_event t =
-  let data = t.trd and base = t.tr_base in
-  List.iter
-    (fun p ->
-      let c = Char.code (Bytes.unsafe_get data (base + p)) in
-      seed_source t p (-(c land 1)) (-((c lsr 1) land 1)))
-    t.out_forced_pis;
+  seed_pis t t.out_forced_pis;
   for i = 0 to Array.length t.dff_nodes - 1 do
     if t.ff_dirty.(i) || t.ff_forced.(i) then
       seed_source t t.dff_nodes.(i) t.state_ones.(i) t.state_zeros.(i)
   done;
-  List.iter (fun g -> schedule t g) t.out_forced_comb;
-  List.iter (fun g -> schedule t g) t.pin_forced_comb;
+  schedule_all t t.out_forced_comb;
+  schedule_all t t.pin_forced_comb;
   for lv = 0 to t.max_level do
     let len = Array.unsafe_get t.bucket_len lv in
     if len > 0 then begin

@@ -1,9 +1,14 @@
-(** PPSFP: parallel-pattern single-fault-propagation packed fault kernel.
+(** PPSFP: parallel-pattern single-fault-propagation packed fault kernel,
+    the one fault-simulation kernel of the library.
 
-    Same 63-lane packed semantics as {!Packed_sim} — lane 0 is the
-    fault-free machine, lanes 1..62 are faulty machines selected by force
-    masks — but built for throughput when many 62-fault groups are
-    simulated over the same sequence:
+    Each of the 63 lanes of a packed word is an independent copy of the
+    circuit receiving the same input vectors: lane 0 is the fault-free
+    machine, lanes 1..62 are faulty machines selected by force masks. An
+    {e output force} pins the value of a node in the selected lanes; a
+    {e pin force} pins the value one gate sees on one fanin pin, which is
+    how fanout-branch stuck-at faults are modeled. The kernel is built for
+    throughput when many 62-fault groups are simulated over the same
+    sequence:
 
     - the {e good machine} is simulated once per sequence into a shared
       {!trace}; every group pass reads good values out of the trace
@@ -13,15 +18,16 @@
       differs from the fault-free broadcast, so quiescent levels cost
       nothing;
     - when measured activity says most of the circuit is live anyway, the
-      step switches to a {e compiled} full sweep (the {!Packed_sim}
-      regime) and back once activity decays — the hybrid is
-      self-tuning per group;
+      step switches to a {e compiled} full sweep and back once activity
+      decays — the hybrid is self-tuning per group;
     - {!drop_lanes} retires detected faults mid-sequence: their forces
       are masked out and their flip-flop lanes snap back to the good
       machine, so a detected fault stops generating events.
 
-    Every step produces bit-identical planes to {!Packed_sim} on the same
-    forces and inputs; the differential-oracle suite enforces this. *)
+    Every step produces bit-identical planes to a plain full-sweep packed
+    simulator on the same forces and inputs. That simulator,
+    [Packed_sim], lives in the test suite as the differential oracle;
+    the suite enforces the identity. *)
 
 type t
 
@@ -32,16 +38,32 @@ val circuit : t -> Bist_circuit.Netlist.t
 
 type trace
 (** Fault-free machine values for every node at every simulated time
-    step, grown lazily as steps are requested. Immutable once a step is
-    materialized, so a trace may be shared by many simulator instances
-    over the same circuit — but only within one domain: growth is not
-    synchronized. *)
+    step, grown lazily as steps are requested. A materialized step does
+    not change until {!retrace}, so a trace may be shared by many
+    simulator instances over the same circuit — but only within one
+    domain: growth is not synchronized. *)
 
 val trace : t -> Bist_logic.Tseq.t -> trace
 (** A fresh (empty) trace of [seq] for this simulator's circuit. *)
 
 val trace_length : trace -> int
 (** Steps materialized so far. *)
+
+type snapshot
+(** The packed flip-flop state of all lanes. *)
+
+val retrace : ?from:snapshot -> trace -> Bist_logic.Tseq.t -> unit
+(** Restart the trace on a new sequence, keeping its buffer: a caller
+    that simulates many short candidate sequences allocates one buffer,
+    not one per candidate. The fault-free machine starts all-X, or in
+    lane 0 of [from] (the state a {!restore_state} of the same snapshot
+    gives lane 0). Steps materialized before are discarded, so no
+    simulator may be part-way through the old sequence. *)
+
+val good_value : trace -> int -> Bist_circuit.Netlist.node -> Bist_logic.Ternary.t
+(** [good_value trace u node] is the fault-free value of [node] at time
+    step [u], which must already be materialized (a {!step} at [u] has
+    run on this trace). *)
 
 val add_output_force :
   t -> Bist_circuit.Netlist.node -> mask:int -> Bist_logic.Ternary.t -> unit
@@ -63,13 +85,26 @@ val reset : t -> unit
 val step : t -> trace -> int -> unit
 (** [step t trace u] applies time step [u] of the trace's sequence to all
     lanes and advances the flip-flop state. Steps must be applied in
-    order from 0 after a {!reset}. Raises [Invalid_argument] if the trace
-    belongs to a different circuit or [u] is out of range. *)
+    order from 0 after a {!reset}, or after a {!restore_state} on a trace
+    started from the same snapshot ({!retrace}[ ~from]). Raises
+    [Invalid_argument] if the trace belongs to a different circuit or
+    [u] is out of range. *)
 
 val po_diff_lanes : t -> int
 (** Detection mask of the most recent {!step}: lanes (other than 0) where
     some primary output carried the binary complement of the fault-free
     binary value. *)
+
+val save_state : t -> snapshot
+
+val restore_state : t -> snapshot -> unit
+(** Put back the flip-flop state of every lane, and re-arm event mode
+    as {!reset} does. Forces stay installed. The directed search branches
+    many candidate suffixes off one simulated prefix this way. *)
+
+val state_diff_count : t -> lane:int -> int
+(** Flip-flops whose present state in [lane] (1..62) is the binary
+    complement of lane 0's binary value. *)
 
 val drop_lanes : t -> int -> unit
 (** Retire the given lanes (a mask, lane 0 ignored): all their forces are

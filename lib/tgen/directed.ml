@@ -2,7 +2,7 @@ module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
 module T = Bist_logic.Ternary
 module Rng = Bist_util.Rng
-module Packed_sim = Bist_sim.Packed_sim
+module Ppsfp = Bist_sim.Ppsfp
 module Netlist = Bist_circuit.Netlist
 
 type config = {
@@ -30,20 +30,22 @@ let excitation_node (fault : Bist_fault.Fault.t) circuit =
   | Bist_fault.Fault.Output n -> n
   | Bist_fault.Fault.Pin { gate; pin } -> (Netlist.fanins circuit gate).(pin)
 
-(* Fitness of [segment] applied after the snapshot state. *)
-let fitness sim ~snapshot ~site ~stuck segment =
-  Packed_sim.restore_state sim snapshot;
+(* Fitness of [segment] applied after the snapshot state. [tr] is
+   restarted on the segment from the snapshot's fault-free state. *)
+let fitness sim tr ~snapshot ~site ~stuck segment =
+  Ppsfp.restore_state sim snapshot;
+  Ppsfp.retrace ~from:snapshot tr segment;
   let excitations = ref 0 in
   let max_state_div = ref 0 in
   let detected_at = ref (-1) in
   let len = Tseq.length segment in
   let u = ref 0 in
   while !detected_at < 0 && !u < len do
-    Packed_sim.step sim (Tseq.get segment !u);
-    if Packed_sim.po_diff_lanes sim land 0b10 <> 0 then detected_at := !u;
-    let good = Bist_logic.Packed.get (Packed_sim.node_value sim site) 0 in
+    Ppsfp.step sim tr !u;
+    if Ppsfp.po_diff_lanes sim land 0b10 <> 0 then detected_at := !u;
+    let good = Ppsfp.good_value tr !u site in
     if T.is_binary good && not (T.equal good stuck) then incr excitations;
-    let div = Packed_sim.state_diff_count sim ~lane:1 in
+    let div = Ppsfp.state_diff_count sim ~lane:1 in
     if div > !max_state_div then max_state_div := div;
     incr u
   done;
@@ -79,21 +81,20 @@ let crossover rng a b =
 
 let search ?(config = default_config) ~rng ~prefix circuit fault =
   let width = Netlist.num_inputs circuit in
-  let sim = Packed_sim.create circuit in
-  (match (fault : Bist_fault.Fault.t) with
-   | { site = Bist_fault.Fault.Output n; stuck } ->
-     Packed_sim.add_output_force sim n ~mask:0b10 stuck
-   | { site = Bist_fault.Fault.Pin { gate; pin }; stuck } ->
-     Packed_sim.add_pin_force sim ~gate ~pin ~mask:0b10 stuck);
-  Packed_sim.reset sim;
-  Tseq.iter (fun v -> Packed_sim.step sim v) prefix;
-  let snapshot = Packed_sim.save_state sim in
+  let sim = Ppsfp.create circuit in
+  Bist_fault.Fsim.install sim fault ~lane:1;
+  Ppsfp.reset sim;
+  let tr = Ppsfp.trace sim prefix in
+  for u = 0 to Tseq.length prefix - 1 do
+    Ppsfp.step sim tr u
+  done;
+  let snapshot = Ppsfp.save_state sim in
   let site = excitation_node fault circuit in
   let stuck = fault.Bist_fault.Fault.stuck in
   let evaluations = ref 0 in
   let eval segment =
     incr evaluations;
-    fitness sim ~snapshot ~site ~stuck segment
+    fitness sim tr ~snapshot ~site ~stuck segment
   in
   let population =
     ref

@@ -154,6 +154,19 @@ head -c 40 "$work/valid.ckpt" > "$truncated"
 [ $? -eq 2 ] || fail "wrong-circuit checkpoint: expected exit 2"
 say "damaged and mismatched checkpoints exit 2"
 
+# --- usage errors exit 2 ----------------------------------------------
+#
+# A command line cmdliner cannot parse (here a missing required option)
+# and an out-of-range -n are usage errors under the same contract.
+
+"$BISTGEN" select s27 >/dev/null 2>&1
+[ $? -eq 2 ] || fail "select without --t0: expected exit 2"
+"$BISTGEN" select s27 --t0 "$work/s27.ref" -n 0 >/dev/null 2>"$work/n0.err"
+[ $? -eq 2 ] || fail "select -n 0: expected exit 2"
+grep -q '^error: -n must be >= 1 (got 0)$' "$work/n0.err" \
+  || fail "select -n 0: expected an error: line"
+say "missing option and -n 0 exit 2"
+
 # --- inject: deadline preemption loop --------------------------------
 #
 # The campaign may legitimately exit 1 (escapes found); determinism means
@@ -168,17 +181,22 @@ inj_ref_st=$?
 
 ckpt="$work/inject.ckpt"
 out="$work/inject.out"
+trace="$work/inject-trace.json"
 legs=0 preempts=0 resume=()
 while :; do
   legs=$((legs + 1))
   [ "$legs" -le 500 ] || fail "inject resume loop did not converge"
+  rm -f "$trace"
   "$INJECT" "${inj_args[@]}" --deadline 0.05 --checkpoint "$ckpt" \
-    ${resume[@]+"${resume[@]}"} > "$out" 2>/dev/null
+    --trace "$trace" ${resume[@]+"${resume[@]}"} > "$out" 2>/dev/null
   st=$?
   case $st in
     3)
       preempts=$((preempts + 1))
       [ -f "$ckpt" ] || fail "inject: exit 3 but no checkpoint written"
+      # A preempted leg still flushes the trace of what it did.
+      "$BISTGEN" trace-check "$trace" >/dev/null 2>&1 \
+        || fail "inject: preempted leg left no valid --trace file"
       resume=(--resume "$ckpt")
       ;;
     *) break ;;

@@ -8,8 +8,7 @@ module Gate = Bist_circuit.Gate
      ones  := (ones  land lnot (f1 lor f0)) lor f1
      zeros := (zeros land lnot (f1 lor f0)) lor f0
 
-   The evaluation loop is the performance kernel of the library: it uses
-   unsafe array accesses (indices come from the compiled program, which
+   The evaluation loop uses unsafe array accesses (indices come from the compiled program, which
    is validated at construction) and accumulates into mutable fields of
    [t] instead of ref cells to keep the loop allocation-free. *)
 

@@ -1,10 +1,12 @@
-(** 63-lane packed sequential simulation with value forcing.
+(** 63-lane packed sequential simulation with value forcing: the test
+    suite's oracle kernel. The library's only fault-simulation kernel is
+    {!Bist_sim.Ppsfp}; this plain full sweep, kept next to the tests,
+    is what its results are compared against.
 
     Each of the 63 lanes is an independent copy of the circuit receiving
     the {e same} input vectors; lanes may differ only through forces
-    installed with {!add_output_force} / {!add_pin_force}. The parallel
-    fault simulator runs the fault-free machine in lane 0 and one faulty
-    machine per remaining lane.
+    installed with {!add_output_force} / {!add_pin_force}. Lane 0 holds
+    the fault-free machine and each remaining lane one faulty machine.
 
     An {e output force} pins the value of a node (as seen by every
     consumer and by the primary-output logic) in the selected lanes. A
@@ -13,8 +15,7 @@
     how fanout-branch stuck-at faults are modeled.
 
     Internally the simulator keeps the one-plane and zero-plane of every
-    node in flat [int] arrays and evaluates gates with inlined bitwise
-    code; this is the performance kernel of the whole library. *)
+    node in flat [int] arrays and evaluates every gate at every step. *)
 
 type t
 

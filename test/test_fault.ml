@@ -77,7 +77,9 @@ let test_argmax_udet () =
   | None -> Alcotest.fail "expected a fault"
   | Some id ->
     Alcotest.(check (option int)) "udet = 9" (Some 9) (Fault_table.udet table id)
-
+(* [Fsim.single] and [Fsim.run] share the Ppsfp kernel, so these two
+   cases compare two paths of one kernel; the independent check of the
+   single-fault path is the Packed_sim oracle in the ppsfp suite. *)
 let test_serial_matches_parallel () =
   let outcome = Fsim.run s27_universe s27_t0 in
   Universe.iter

@@ -7,7 +7,6 @@ module Bitset = Bist_util.Bitset
 module Universe = Bist_fault.Universe
 module Fsim = Bist_fault.Fsim
 module Ops = Bist_core.Ops
-module Packed_sim = Bist_sim.Packed_sim
 
 (* THE lemma: an expanded sequence detects everything its stored seed
    detects (because the seed is a prefix and detection is monotone under

@@ -5,9 +5,9 @@
    - {!Bist_fault.Fsim.run}, whose kernel is {!Bist_sim.Ppsfp} (shared
      fault-free trace, event-driven levelized evaluation, fault
      dropping);
-   - a full-sweep {!Bist_sim.Packed_sim} loop over 62-fault groups,
-     local to this suite, that never drops a fault and always runs the
-     whole sequence;
+   - a full-sweep {!Packed_sim} loop over 62-fault groups, local to
+     this suite, that never drops a fault and always runs the whole
+     sequence ({!Packed_sim} is the test-local oracle kernel);
    - {!Bist_sim.Seq_sim} on a mutated netlist: each fault is compiled
      into the circuit structurally (stem stuck-at becomes a constant
      driver, a fanout-branch stuck-at rewires one consumer pin to a
@@ -17,7 +17,10 @@
    The first is checked against the second over the whole universe, at
    several pool widths and on both sides of the sharding crossover; the
    third is scalar and per-fault, so it covers s27 and a band of small
-   synthetics. *)
+   synthetics. The single-fault path ({!Bist_fault.Fsim.single}, whose
+   trace buffer is reused across sequences) and the snapshot calls the
+   directed search branches with are checked against {!Packed_sim}
+   too. *)
 
 module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
@@ -32,7 +35,6 @@ module Fsim = Bist_fault.Fsim
 module Pool = Bist_parallel.Pool
 module Tune = Bist_parallel.Tune
 module Ppsfp = Bist_sim.Ppsfp
-module Packed_sim = Bist_sim.Packed_sim
 module Seq_sim = Bist_sim.Seq_sim
 
 let pool2 = Pool.create ~jobs:2 ()
@@ -316,6 +318,144 @@ let test_lane0_reserved_and_validation () =
     (Invalid_argument "Ppsfp.step: trace belongs to a different circuit")
     (fun () -> Ppsfp.step sim tr2 0)
 
+(* --- the single-fault path and snapshots ------------------------------ *)
+
+(* The single-fault loop [Fsim.single] ran before it moved onto Ppsfp:
+   the fault in lane 1 of one oracle simulator, reset per sequence, a
+   full sweep per step, the first detection wins. *)
+let packed_single circuit fault =
+  let sim = Packed_sim.create circuit in
+  install sim fault ~lane:1;
+  fun seq ->
+    Packed_sim.reset sim;
+    let len = Tseq.length seq in
+    let rec go u =
+      if u >= len then None
+      else begin
+        Packed_sim.step sim (Tseq.get seq u);
+        if Packed_sim.po_diff_lanes sim <> 0 then Some u else go (u + 1)
+      end
+    in
+    go 0
+
+(* Every fault in [ids], each with one [Fsim.single] that sees every
+   sequence in turn: a long, a short and a long one, so a trace buffer
+   carried over from the previous sequence shows as a wrong time. *)
+let single_mismatches circuit universe ids seqs =
+  List.filter_map
+    (fun id ->
+      let fault = Universe.get universe id in
+      let single = Fsim.single circuit fault in
+      let oracle = packed_single circuit fault in
+      List.find_map
+        (fun seq ->
+          let want = oracle seq and got = Fsim.single_detection_time single seq in
+          if want = got then None
+          else
+            let show = function None -> "none" | Some u -> string_of_int u in
+            Some
+              (Printf.sprintf "%s on %d vectors: packed %s, single %s"
+                 (Fault.name circuit fault) (Tseq.length seq) (show want)
+                 (show got)))
+        seqs)
+    ids
+
+let check_single_vs_packed ?(every = 1) name =
+  let circuit = (Option.get (Bist_bench.Registry.find name)).circuit () in
+  let universe = Universe.collapsed circuit in
+  let ids =
+    List.filter (fun id -> id mod every = 0)
+      (List.init (Universe.size universe) Fun.id)
+  in
+  let seqs =
+    [ seq_for circuit ~seed:31 ~len:300; seq_for circuit ~seed:32 ~len:5;
+      seq_for circuit ~seed:33 ~len:300 ]
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s: single == packed on %d faults" name (List.length ids))
+    [] (single_mismatches circuit universe ids seqs)
+
+let test_single_vs_packed () =
+  check_single_vs_packed "s27";
+  check_single_vs_packed "x298";
+  check_single_vs_packed ~every:11 "x1488"
+
+let single_differential_property =
+  Testutil.qcheck
+    (QCheck.Test.make ~name:"single == packed (random circuit/seq)" ~count:30
+       Testutil.circuit_and_seq
+       (fun (cseed, sseed, len) ->
+         let circuit = Testutil.small_circuit cseed in
+         let universe = Universe.collapsed circuit in
+         let seqs =
+           [ seq_for circuit ~seed:sseed ~len; seq_for circuit ~seed:(sseed + 1) ~len:2;
+             seq_for circuit ~seed:(sseed + 2) ~len:(len + 7) ]
+         in
+         single_mismatches circuit universe
+           (List.init (Universe.size universe) Fun.id)
+           seqs
+         = []))
+
+(* Branching off a snapshot must replay the uninterrupted run: with 62
+   faults installed, [prefix ++ seg] stepped from reset gives, at every
+   step of [seg], the same detection mask, the same per-lane flip-flop
+   divergence and the same fault-free values as restoring the snapshot
+   taken after [prefix] and stepping [seg] on a trace started from it.
+   Two segments share the snapshot, and the simulator is reset between
+   the save and the first restore, so a restore that keeps the current
+   flip-flop bookkeeping is caught. *)
+let test_snapshot_replays_prefix name () =
+  let circuit = (Option.get (Bist_bench.Registry.find name)).circuit () in
+  let universe = Universe.collapsed circuit in
+  let install_group sim =
+    for j = 0 to min 62 (Universe.size universe) - 1 do
+      Fsim.install sim (Universe.get universe (3 * j mod Universe.size universe))
+        ~lane:(j + 1)
+    done
+  in
+  let prefix = seq_for circuit ~seed:41 ~len:40 in
+  let observe sim tr ~from ~len =
+    List.init len (fun u ->
+        Ppsfp.step sim tr (from + u);
+        ( Ppsfp.po_diff_lanes sim,
+          List.init 62 (fun l -> Ppsfp.state_diff_count sim ~lane:(l + 1)),
+          List.init (Netlist.size circuit) (fun node ->
+              T.to_char (Ppsfp.good_value tr (from + u) node)) ))
+  in
+  let branching = Ppsfp.create circuit in
+  install_group branching;
+  Ppsfp.reset branching;
+  let tr = Ppsfp.trace branching prefix in
+  ignore (observe branching tr ~from:0 ~len:(Tseq.length prefix));
+  let diverged =
+    List.length
+      (List.filter
+         (fun l -> Ppsfp.state_diff_count branching ~lane:l > 0)
+         (List.init 62 succ))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d lanes diverge after the prefix" name diverged)
+    true (diverged > 0);
+  let snap = Ppsfp.save_state branching in
+  Ppsfp.reset branching;
+  List.iter
+    (fun seed ->
+      let seg = seq_for circuit ~seed ~len:24 in
+      let straight = Ppsfp.create circuit in
+      install_group straight;
+      Ppsfp.reset straight;
+      let whole = Tseq.concat prefix seg in
+      let straight_tr = Ppsfp.trace straight whole in
+      ignore (observe straight straight_tr ~from:0 ~len:(Tseq.length prefix));
+      let want = observe straight straight_tr ~from:(Tseq.length prefix) ~len:24 in
+      Ppsfp.restore_state branching snap;
+      Ppsfp.retrace ~from:snap tr seg;
+      let got = observe branching tr ~from:0 ~len:24 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s segment %d: branch == straight run" name seed)
+        true (want = got))
+    [ 42; 43 ]
+
 let suite =
   [
     Alcotest.test_case "synthetics: ppsfp == packed at widths 1/2/4" `Slow
@@ -333,4 +473,11 @@ let suite =
       test_drop_lanes_preserves_other_lanes;
     Alcotest.test_case "ppsfp argument validation" `Quick
       test_lane0_reserved_and_validation;
+    Alcotest.test_case "single == packed (s27, x298, x1488 sample)" `Quick
+      test_single_vs_packed;
+    single_differential_property;
+    Alcotest.test_case "snapshot branch == straight run (s27)" `Quick
+      (test_snapshot_replays_prefix "s27");
+    Alcotest.test_case "snapshot branch == straight run (x298)" `Quick
+      (test_snapshot_replays_prefix "x298");
   ]

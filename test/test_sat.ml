@@ -162,7 +162,6 @@ module Netlist = Bist_circuit.Netlist
 module Fault = Bist_fault.Fault
 module Fsim = Bist_fault.Fsim
 module Universe = Bist_fault.Universe
-module Packed_sim = Bist_sim.Packed_sim
 module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
 module T = Bist_logic.Ternary

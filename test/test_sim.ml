@@ -5,7 +5,6 @@ module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
 module T = Bist_logic.Ternary
 module Seq_sim = Bist_sim.Seq_sim
-module Packed_sim = Bist_sim.Packed_sim
 module Netlist = Bist_circuit.Netlist
 
 let run_strings circuit strings =

@@ -168,6 +168,188 @@ let test_compaction_matches_full_resim name () =
     [ ("experiment budget", None, budget.compaction_trials);
       ("40 trials, block 3", Some 3, 40) ]
 
+(* The directed search as it ran before it moved onto Ppsfp, on the
+   oracle kernel: the fault in lane 1 of one Packed_sim, the prefix
+   stepped once, and each candidate segment scored from the restored
+   snapshot, reading the fault-free value of the site from lane 0. The
+   genetic loop and its draws from [rng] are copied unchanged. *)
+module Packed_directed = struct
+  module Vector = Bist_logic.Vector
+  module T = Bist_logic.Ternary
+  module Rng = Bist_util.Rng
+  module Netlist = Bist_circuit.Netlist
+  module Fault = Bist_fault.Fault
+  module Directed = Bist_tgen.Directed
+
+  let detected_bonus = 1_000_000
+
+  let excitation_node (fault : Fault.t) circuit =
+    match fault.site with
+    | Fault.Output n -> n
+    | Fault.Pin { gate; pin } -> (Netlist.fanins circuit gate).(pin)
+
+  let fitness sim ~snapshot ~site ~stuck segment =
+    Packed_sim.restore_state sim snapshot;
+    let excitations = ref 0 in
+    let max_state_div = ref 0 in
+    let detected_at = ref (-1) in
+    let len = Tseq.length segment in
+    let u = ref 0 in
+    while !detected_at < 0 && !u < len do
+      Packed_sim.step sim (Tseq.get segment !u);
+      if Packed_sim.po_diff_lanes sim land 0b10 <> 0 then detected_at := !u;
+      let good = Bist_logic.Packed.get (Packed_sim.node_value sim site) 0 in
+      if T.is_binary good && not (T.equal good stuck) then incr excitations;
+      let div = Packed_sim.state_diff_count sim ~lane:1 in
+      if div > !max_state_div then max_state_div := div;
+      incr u
+    done;
+    (if !detected_at >= 0 then detected_bonus - !detected_at else 0)
+    + (100 * !max_state_div) + !excitations
+
+  let random_segment rng ~width ~length =
+    Tseq.of_vectors (Array.init length (fun _ -> Vector.random_binary rng width))
+
+  let mutate rng ~rate segment =
+    let width = Tseq.width segment in
+    Tseq.of_vectors
+      (Array.map
+         (fun v ->
+           let flipped = ref v in
+           for i = 0 to width - 1 do
+             if Rng.bernoulli rng rate then
+               flipped := Vector.set !flipped i (T.not_ (Vector.get !flipped i))
+           done;
+           !flipped)
+         (Tseq.to_array segment))
+
+  let crossover rng a b =
+    let len = min (Tseq.length a) (Tseq.length b) in
+    if len < 2 then a
+    else begin
+      let cut = 1 + Rng.int rng (len - 1) in
+      Tseq.concat (Tseq.sub a ~lo:0 ~hi:(cut - 1)) (Tseq.sub b ~lo:cut ~hi:(len - 1))
+    end
+
+  let search (config : Directed.config) ~rng ~prefix circuit (fault : Fault.t) =
+    let width = Netlist.num_inputs circuit in
+    let sim = Packed_sim.create circuit in
+    (match fault with
+    | { site = Fault.Output n; stuck } ->
+      Packed_sim.add_output_force sim n ~mask:0b10 stuck
+    | { site = Fault.Pin { gate; pin }; stuck } ->
+      Packed_sim.add_pin_force sim ~gate ~pin ~mask:0b10 stuck);
+    Packed_sim.reset sim;
+    Tseq.iter (fun v -> Packed_sim.step sim v) prefix;
+    let snapshot = Packed_sim.save_state sim in
+    let site = excitation_node fault circuit in
+    let evaluations = ref 0 in
+    let eval segment =
+      incr evaluations;
+      fitness sim ~snapshot ~site ~stuck:fault.stuck segment
+    in
+    let population =
+      ref
+        (Array.init config.population (fun _ ->
+             let s = random_segment rng ~width ~length:config.segment_length in
+             (eval s, s)))
+    in
+    let best () =
+      Array.fold_left
+        (fun acc (f, s) ->
+          match acc with Some (bf, _) when bf >= f -> acc | _ -> Some (f, s))
+        None !population
+      |> Option.get
+    in
+    let generation = ref 0 in
+    while !generation < config.generations && fst (best ()) < detected_bonus do
+      incr generation;
+      let sorted =
+        Array.of_list
+          (List.sort (fun (a, _) (b, _) -> Int.compare b a) (Array.to_list !population))
+      in
+      let elite = Array.sub sorted 0 (max 1 (config.population / 4)) in
+      population :=
+        Array.init config.population (fun i ->
+            if i < Array.length elite then elite.(i)
+            else begin
+              let parent_a = snd (Rng.choose rng elite) in
+              let child =
+                match Rng.int rng 3 with
+                | 0 -> mutate rng ~rate:config.mutation_rate parent_a
+                | 1 -> crossover rng parent_a (snd (Rng.choose rng sorted))
+                | _ -> random_segment rng ~width ~length:config.segment_length
+              in
+              (eval child, child)
+            end)
+    done;
+    let best_fitness, best_segment = best () in
+    {
+      Directed.segment =
+        (if best_fitness >= detected_bonus - Tseq.length best_segment then
+           Some best_segment
+         else None);
+      evaluations = !evaluations;
+      best_fitness;
+    }
+end
+
+(* [Directed.search] against the oracle copy on the four SCOAP-hardest
+   faults a capped tgen T0 leaves undetected, with the T0 as the prefix,
+   at the default configuration and at a small one. The generator's next
+   draw must agree too, so both consumed the same randomness. s27's T0
+   detects every fault, so there the prefix is its first [keep] vectors. *)
+let test_directed_matches_packed ?keep name () =
+  let circuit = (Option.get (Bist_bench.Registry.find name)).circuit () in
+  let universe = Universe.collapsed circuit in
+  let config = { (Engine.default_config circuit) with Engine.max_length = 160 } in
+  let t0, _ = Engine.generate ~config ~rng:(Bist_util.Rng.create 2026) universe in
+  let t0 =
+    match keep with Some k -> Tseq.sub t0 ~lo:0 ~hi:(k - 1) | None -> t0
+  in
+  let detected = (Fsim.run universe t0).Fsim.detected in
+  let survivors =
+    Array.of_list
+      (List.filter
+         (fun id -> not (Bitset.mem detected id))
+         (List.init (Universe.size universe) Fun.id))
+  in
+  Bist_tgen.Directed.order_hardest_first (Bist_analyze.Scoap.compute circuit)
+    universe survivors;
+  let targets = Array.sub survivors 0 (min 4 (Array.length survivors)) in
+  Alcotest.(check bool) (name ^ ": has survivors") true (Array.length targets > 0);
+  let small =
+    { Bist_tgen.Directed.population = 5; generations = 4; segment_length = 7;
+      mutation_rate = 0.2 }
+  in
+  Array.iter
+    (fun id ->
+      let fault = Universe.get universe id in
+      List.iter
+        (fun (label, dconfig) ->
+          let run search =
+            let rng = Bist_util.Rng.create (1000 + id) in
+            let outcome = search rng in
+            (outcome, Bist_util.Rng.int rng 1_000_000)
+          in
+          let want, want_next =
+            run (fun rng -> Packed_directed.search dconfig ~rng ~prefix:t0 circuit fault)
+          in
+          let got, got_next =
+            run (fun rng ->
+                Bist_tgen.Directed.search ~config:dconfig ~rng ~prefix:t0 circuit fault)
+          in
+          let what =
+            Printf.sprintf "%s %s (%s)" name (Bist_fault.Fault.name circuit fault) label
+          in
+          Alcotest.(check (option Testutil.tseq_testable))
+            (what ^ ": segment") want.Bist_tgen.Directed.segment got.segment;
+          Alcotest.(check int) (what ^ ": evaluations") want.evaluations got.evaluations;
+          Alcotest.(check int) (what ^ ": best fitness") want.best_fitness got.best_fitness;
+          Alcotest.(check int) (what ^ ": next draw") want_next got_next)
+        [ ("default", Bist_tgen.Directed.default_config); ("small", small) ])
+    targets
+
 (* Synth / registry *)
 
 let test_synth_matches_profile () =
@@ -251,6 +433,13 @@ let suite =
           `Quick
           (test_compaction_matches_full_resim name))
       [ "s27"; "x298"; "x526"; "x820"; "x1488"; "x641" ]
+  @ List.map
+      (fun (name, keep) ->
+        Alcotest.test_case
+          (Printf.sprintf "directed = packed search (%s)" name)
+          `Quick
+          (test_directed_matches_packed ?keep name))
+      [ ("s27", Some 2); ("x298", None); ("x526", None) ]
   @ [
     Alcotest.test_case "synth matches profile" `Quick test_synth_matches_profile;
     Alcotest.test_case "synth deterministic" `Quick test_synth_deterministic;

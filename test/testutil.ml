@@ -76,15 +76,15 @@ let circuit_and_seq =
    reproduces the scalar levelized simulator's outputs at every step. *)
 let packed_lane0_matches_seq_sim circuit seq =
   let expected = Bist_sim.Seq_sim.run circuit seq in
-  let packed = Bist_sim.Packed_sim.create circuit in
+  let packed = Packed_sim.create circuit in
   let ok = ref true in
   Tseq.iteri
     (fun u vec ->
-      Bist_sim.Packed_sim.step packed vec;
+      Packed_sim.step packed vec;
       Array.iteri
         (fun i _ ->
           let got =
-            Bist_logic.Packed.get (Bist_sim.Packed_sim.po_value packed i) 0
+            Bist_logic.Packed.get (Packed_sim.po_value packed i) 0
           in
           if not (T.equal got (Vector.get expected.(u) i)) then ok := false)
         (Bist_circuit.Netlist.outputs circuit))
