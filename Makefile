@@ -8,10 +8,10 @@ build:
 test:
 	dune runtest
 
-# The same tier-1 suite with the domain pool active: BIST_JOBS=2 routes
-# every fault simulation through the sharded parallel path, whose
-# results are bit-identical by the DESIGN.md §8 invariant — so the
-# exact same tests must pass unchanged.
+# The same tier-1 suite with the domain pool active: BIST_JOBS=2 shards
+# every fault simulation of more than one 62-fault group over two
+# domains, whose results are bit-identical by the DESIGN.md §8
+# invariant — so the exact same tests must pass unchanged.
 test-parallel:
 	BIST_JOBS=2 dune runtest --force
 
@@ -69,8 +69,8 @@ blif-smoke:
 # record (jobs=2) to BENCH_results.json, fails on any identical=false in
 # the trajectory, and on multi-core hosts fails if the x1488/x5378
 # speedup regressed >20% below the best recorded value (on cores=1 the
-# speedup assertion is skipped with a warning — sharding is
-# crossover-suppressed there by design).
+# speedup assertion is skipped with a warning — the shards time-slice
+# on one core, so there is no speedup to gate).
 perf-smoke:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- --perf-smoke
@@ -83,7 +83,7 @@ check: test test-parallel lint trace-smoke fuzz-smoke interrupt-smoke daemon-smo
 smoke: test
 	dune exec bin/inject.exe -- --smoke
 
-# Micro-benches and ablations, then the paper's tables over the
+# The ablation-quality table, then the paper's tables over the
 # evaluation suite up to x1488 (the two largest circuits skipped).
 bench:
 	dune exec bench/main.exe

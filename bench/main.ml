@@ -1,29 +1,23 @@
 (* Benchmark harness.
 
-   Part 1 (Bechamel): one micro-benchmark per paper table plus the
-   ablation benches called out in DESIGN.md, measured on fixed fast
-   workloads so the timings are comparable run to run.
+   With no flags: the ablation-quality table on x298 (what each variant
+   of the scheme costs in result quality). The paper's tables come from
+   `bin/tables.exe`, and the timed end-to-end layers from perfbench.
 
-   The paper's tables come from `bin/tables.exe`, not from here.
-
-   Part 2 (`--json PATH`): the recorded trajectory. Wall-times the
-   fault-table workloads sequentially and on a `--jobs`-wide domain pool,
-   verifies the two tables are bit-identical, and appends one run record
-   to the JSON array at PATH (see BENCH_results.json at the repo root) so
+   `--json PATH`: the recorded trajectory. Wall-times the fault-table
+   workloads sequentially and on a `--jobs`-wide domain pool, verifies
+   the two tables are bit-identical, and appends one run record to the
+   JSON array at PATH (see BENCH_results.json at the repo root) so
    successive PRs accumulate a perf baseline to regress against. *)
-
-open Bechamel
-open Toolkit
 
 (* Fixed workloads, built once. *)
 
-let s27 = Bist_bench.S27.circuit ()
-let s27_universe = Bist_fault.Universe.collapsed s27
+let s27_universe = Bist_fault.Universe.collapsed (Bist_bench.S27.circuit ())
 let s27_t0 = Bist_bench.S27.t0 ()
-let table1_s = Bist_bench.S27.table1_s ()
 
-let x298 = (Option.get (Bist_bench.Registry.find "x298")).circuit ()
-let x298_universe = Bist_fault.Universe.collapsed x298
+let x298_universe =
+  Bist_fault.Universe.collapsed
+    ((Option.get (Bist_bench.Registry.find "x298")).circuit ())
 
 let x298_t0 =
   lazy
@@ -31,138 +25,14 @@ let x298_t0 =
      let t0, _ = Bist_tgen.Engine.generate ~rng x298_universe in
      fst (Bist_tgen.Compaction.compact ~max_trials:150 x298_universe t0))
 
-(* Table 1: the expansion operators. *)
-let bench_table1 =
-  Test.make ~name:"table1_expand"
-    (Staged.stage (fun () -> ignore (Bist_core.Ops.expand ~n:2 table1_s)))
-
-(* Table 2: fault simulation of T0 with detection times. *)
-let bench_table2 =
-  Test.make ~name:"table2_fault_table"
-    (Staged.stage (fun () ->
-         ignore (Bist_fault.Fault_table.compute s27_universe s27_t0)))
-
-(* Table 3: the full per-circuit pipeline (selection + compaction). *)
-let bench_table3 =
-  Test.make ~name:"table3_pipeline_x298"
-    (Staged.stage (fun () ->
-         ignore
-           (Bist_core.Scheme.execute ~verify:false ~seed:5 ~n:8
-              ~t0:(Lazy.force x298_t0) x298_universe)))
-
-(* Table 4's two measured phases, separately. *)
-let bench_table4_proc1 =
-  Test.make ~name:"table4_procedure1_x298"
-    (Staged.stage (fun () ->
-         let rng = Bist_util.Rng.create 5 in
-         ignore
-           (Bist_core.Procedure1.run ~rng ~n:8 ~t0:(Lazy.force x298_t0)
-              x298_universe)))
-
-let bench_table4_comp =
-  let prepared =
-    lazy
-      (let rng = Bist_util.Rng.create 5 in
-       let r =
-         Bist_core.Procedure1.run ~rng ~n:8 ~t0:(Lazy.force x298_t0)
-           x298_universe
-       in
-       (Bist_core.Procedure1.sequences r, r.Bist_core.Procedure1.t0_detected))
-  in
-  Test.make ~name:"table4_compaction_x298"
-    (Staged.stage (fun () ->
-         let seqs, targets = Lazy.force prepared in
-         ignore (Bist_core.Postprocess.run ~n:8 ~targets x298_universe seqs)))
-
-(* Table 5's applied-length accounting via the hardware session. *)
-let bench_table5_session =
-  let set = lazy (Bist_core.Scheme.execute ~seed:7 ~n:2 ~t0:s27_t0 s27_universe) in
-  Test.make ~name:"table5_hw_session_s27"
-    (Staged.stage (fun () ->
-         let run = Lazy.force set in
-         ignore (Bist_hw.Session.run_exn ~n:2 s27 run.Bist_core.Scheme.sequences)))
-
-(* Ablations from DESIGN.md section 5. *)
-
-let bench_ablation_fault_order order name =
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let rng = Bist_util.Rng.create 5 in
-         ignore
-           (Bist_core.Procedure1.run ~fault_order:order ~rng ~n:4
-              ~t0:(Lazy.force x298_t0) x298_universe)))
-
-let bench_ablation_omission =
-  let strategy =
-    { Bist_core.Procedure2.paper_strategy with
-      Bist_core.Procedure2.omission = `None }
-  in
-  Test.make ~name:"ablation_no_omission"
-    (Staged.stage (fun () ->
-         let rng = Bist_util.Rng.create 5 in
-         ignore
-           (Bist_core.Procedure1.run ~strategy ~rng ~n:4
-              ~t0:(Lazy.force x298_t0) x298_universe)))
-
-let bench_ablation_operators =
-  Test.make ~name:"ablation_repeat_only"
-    (Staged.stage (fun () ->
-         let rng = Bist_util.Rng.create 5 in
-         ignore
-           (Bist_core.Procedure1.run ~operators:[ Bist_core.Ops.Repeat ] ~rng
-              ~n:4 ~t0:(Lazy.force x298_t0) x298_universe)))
-
-let bench_fsim_parallel =
-  Test.make ~name:"fsim_parallel_x298"
-    (Staged.stage (fun () ->
-         ignore (Bist_fault.Fsim.run x298_universe (Lazy.force x298_t0))))
-
-let bench_fsim_serial =
-  Test.make ~name:"fsim_serial_s27"
-    (Staged.stage (fun () ->
-         Bist_fault.Universe.iter
-           (fun _ fault -> ignore (Bist_fault.Fsim.detects s27 fault s27_t0))
-           s27_universe))
-
-let all_micro =
-  [
-    bench_table1; bench_table2; bench_table3; bench_table4_proc1;
-    bench_table4_comp; bench_table5_session;
-    bench_ablation_fault_order `Max_udet "ablation_order_max_udet";
-    bench_ablation_fault_order `Min_udet "ablation_order_min_udet";
-    bench_ablation_fault_order `Random "ablation_order_random";
-    bench_ablation_omission; bench_ablation_operators; bench_fsim_parallel;
-    bench_fsim_serial;
-  ]
-
-let run_micro () =
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.6) () in
-  print_endline "== Bechamel micro-benchmarks (one per table + ablations) ==";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-32s %14.0f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "  %-32s (no estimate)\n%!" name)
-        ols)
-    all_micro
-
-(* Ablation quality: the micro-benchmarks above time the variants; the
-   harness library computes what each variant costs in result quality. *)
+(* Ablation quality: the harness library computes what each variant
+   costs in result quality. *)
 let run_ablation_quality () =
   let rows = Bist_harness.Ablation.run ~seed:5 ~n:4 ~t0:(Lazy.force x298_t0) x298_universe in
   print_endline "== Ablation quality on x298 (n = 4) ==";
   print_string (Bist_harness.Ablation.render rows)
 
-(* Part 2: the recorded trajectory (`--json PATH`). *)
+(* The recorded trajectory (`--json PATH`). *)
 
 module Pool = Bist_parallel.Pool
 module Fault_table = Bist_fault.Fault_table
@@ -430,9 +300,9 @@ let run_json ?(sat = true) ~jobs ~trace ~stats path =
    - on a multi-core host, the fresh record's speedup on the gated
      x1488/x5378-class benches must not fall more than 20% below the
      best multi-core speedup ever recorded for that bench;
-   - on a single-core host the speedup assertion is vacuous (sharding is
-     crossover-suppressed, so speedup hovers at 1.0) and is skipped with
-     a warning. *)
+   - on a single-core host the speedup assertion is vacuous (the shards
+     time-slice on one core, so speedup cannot exceed 1.0) and is
+     skipped with a warning. *)
 
 module Json = Bist_obs.Json_check
 
@@ -497,7 +367,7 @@ let perf_smoke ~jobs path =
   in
   if cores <= 1 then
     Printf.eprintf
-      "perf-smoke: warning: cores=1 — sharding is crossover-suppressed, \
+      "perf-smoke: warning: cores=1 — shards time-slice on one core, \
        skipping the speedup assertion\n"
   else
     List.iter
@@ -548,6 +418,4 @@ let () =
       Printf.eprintf "error: --trace/--stats apply to the --json trajectory run\n";
       exit 2
     end;
-    run_micro ();
-    print_newline ();
     run_ablation_quality ()

@@ -101,14 +101,8 @@ let execute ?(strategy = Procedure2.paper_strategy)
   }
 
 let better a b =
-  if a.after.max_length <> b.after.max_length then
-    if a.after.max_length < b.after.max_length then a else b
-  else if a.after.total_length <> b.after.total_length then
-    if a.after.total_length < b.after.total_length then a else b
-  else if a.proc1_seconds +. a.compaction_seconds
-          <= b.proc1_seconds +. b.compaction_seconds
-  then a
-  else b
+  let key r = (r.after.max_length, r.after.total_length, r.n) in
+  if compare (key a) (key b) <= 0 then a else b
 
 let best_n ?(strategy = Procedure2.paper_strategy) ?(ns = [ 2; 4; 8; 16 ])
     ?(obs = Bist_obs.Obs.null) ~seed ~t0 universe =

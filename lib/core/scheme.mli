@@ -58,8 +58,11 @@ val verify_coverage :
     expansions of [seqs] together detect every fault of [targets]. *)
 
 val better : run -> run -> run
-(** The paper's best-[n] rule: smaller maximum stored length, then
-    smaller total stored length, then lower run time. *)
+(** The best-[n] rule: smaller maximum stored length, then smaller total
+    stored length, then smaller [n], whose at-speed test (8·n·total) is
+    the shorter. The paper breaks the last tie by run time; wall time
+    would make the choice vary from run to run, so it is not read. On a
+    full tie the first argument wins. *)
 
 val best_n :
   ?strategy:Procedure2.strategy ->

@@ -8,7 +8,7 @@ type t = {
   detected : Bitset.t;
 }
 
-let compute ?(obs = Bist_obs.Obs.null) ?pool ?tune ?ctl universe seq =
+let compute ?(obs = Bist_obs.Obs.null) ?pool ?ctl universe seq =
   Bist_obs.Obs.span obs ~cat:"fsim" "fault_table.compute"
     ~args:(fun () ->
       [ ("circuit",
@@ -16,7 +16,7 @@ let compute ?(obs = Bist_obs.Obs.null) ?pool ?tune ?ctl universe seq =
         ("faults", string_of_int (Universe.size universe));
         ("seq_len", string_of_int (Tseq.length seq)) ])
     (fun () ->
-      let outcome = Fsim.run ~obs ?pool ?tune ?ctl universe seq in
+      let outcome = Fsim.run ~obs ?pool ?ctl universe seq in
       {
         universe;
         seq;

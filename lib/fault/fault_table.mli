@@ -9,7 +9,6 @@ type t
 val compute :
   ?obs:Bist_obs.Obs.t ->
   ?pool:Bist_parallel.Pool.t ->
-  ?tune:Bist_parallel.Tune.t ->
   ?ctl:Bist_resilience.Ctl.t ->
   Universe.t ->
   Bist_logic.Tseq.t ->
@@ -19,9 +18,7 @@ val compute :
     {!Fsim.run}); the default is sequential unless [BIST_JOBS] is set.
     [obs] wraps the run in a ["fault_table.compute"] span and records
     the per-shard spans of {!Fsim.run}. [ctl] is forwarded to
-    {!Fsim.run} and may raise {!Bist_resilience.Ctl.Preempted}. [tune]
-    overrides the sharding crossover policy (see
-    {!Bist_parallel.Tune}). *)
+    {!Fsim.run} and may raise {!Bist_resilience.Ctl.Preempted}. *)
 
 val universe : t -> Universe.t
 val sequence : t -> Bist_logic.Tseq.t

@@ -2,6 +2,8 @@ module Tseq = Bist_logic.Tseq
 module Bitset = Bist_util.Bitset
 module Ppsfp = Bist_sim.Ppsfp
 module Obs = Bist_obs.Obs
+module Pool = Bist_parallel.Pool
+module Shard = Bist_parallel.Shard
 
 type outcome = {
   universe : Universe.t;
@@ -64,7 +66,19 @@ let run_ids ?ctl universe seq ids =
   done;
   det_local
 
-let run ?(obs = Obs.null) ?pool ?tune ?ctl ?targets ?stop_when_all_detected:_
+(* Whole groups are the unit of sharding: [min jobs groups] contiguous
+   shards, balanced within one group, so every pool width simulates
+   exactly the groups of the sequential run. *)
+let shards ~jobs ids =
+  let n = Array.length ids in
+  let groups = (n + faults_per_pass - 1) / faults_per_pass in
+  Shard.partition ~chunks:jobs (Array.init groups Fun.id)
+  |> Array.map (fun gs ->
+         let first = gs.(0) * faults_per_pass in
+         let stop = min n ((gs.(Array.length gs - 1) + 1) * faults_per_pass) in
+         Array.sub ids first (stop - first))
+
+let run ?(obs = Obs.null) ?pool ?ctl ?targets ?stop_when_all_detected:_
     universe seq =
   let n_faults = Universe.size universe in
   let target_ids =
@@ -72,24 +86,27 @@ let run ?(obs = Obs.null) ?pool ?tune ?ctl ?targets ?stop_when_all_detected:_
     | None -> Array.init n_faults (fun i -> i)
     | Some set -> Array.of_list (Bitset.elements set)
   in
-  let pool =
-    match pool with Some _ -> pool | None -> Bist_parallel.Pool.from_env ()
-  in
+  let pool = match pool with Some _ -> pool | None -> Pool.from_env () in
   (* The shard closure runs on the pool's worker domains, so each span
      lands on its own trace track (tid = domain id): parallel shard
      utilisation is readable straight off the timeline. *)
-  let f ids =
-    Obs.span obs ~cat:"fsim" "fsim.shard"
-      ~args:(fun () ->
-        [ ("faults", string_of_int (Array.length ids));
-          ("seq_len", string_of_int (Tseq.length seq)) ])
-      (fun () -> run_ids ?ctl universe seq ids)
+  let piece ids =
+    let det_time =
+      Obs.span obs ~cat:"fsim" "fsim.shard"
+        ~args:(fun () ->
+          [ ("faults", string_of_int (Array.length ids));
+            ("seq_len", string_of_int (Tseq.length seq)) ])
+        (fun () -> run_ids ?ctl universe seq ids)
+    in
+    { Shard.ids; det_time }
   in
-  let det_time, detected =
-    Bist_parallel.Shard.detections ?pool ?tune
-      ~units:(Array.length target_ids * max 1 (Tseq.length seq))
-      ~size:n_faults ~f target_ids
+  let pieces =
+    match pool with
+    | Some p when Pool.jobs p > 1 && Array.length target_ids > faults_per_pass ->
+      Pool.map_chunks p piece (shards ~jobs:(Pool.jobs p) target_ids)
+    | _ -> [| piece target_ids |]
   in
+  let det_time, detected = Shard.merge ~size:n_faults pieces in
   { universe; det_time; detected }
 
 let coverage outcome =

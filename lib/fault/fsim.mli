@@ -27,7 +27,6 @@ type outcome = {
 val run :
   ?obs:Bist_obs.Obs.t ->
   ?pool:Bist_parallel.Pool.t ->
-  ?tune:Bist_parallel.Tune.t ->
   ?ctl:Bist_resilience.Ctl.t ->
   ?targets:Bist_util.Bitset.t ->
   ?stop_when_all_detected:bool ->
@@ -41,9 +40,11 @@ val run :
 
     With [pool] (default: {!Bist_parallel.Pool.from_env}, i.e.
     sequential unless [BIST_JOBS >= 2] is exported) the target faults are
-    sharded over the pool's domains, one independent simulator per shard;
-    the outcome is bit-identical to the sequential one for every pool
-    width ({!Bist_parallel.Shard}).
+    cut by {!shards} and the shards run over the pool's domains, one
+    independent simulator per shard. A one-worker pool, or at most 62
+    targets, runs in the caller and dispatches no pool task. Every width
+    simulates the same groups as the sequential run, so the outcome is
+    bit-identical and so is the work done ({!Bist_parallel.Shard}).
 
     [obs] (default {!Bist_obs.Obs.null}, a no-op) records one
     ["fsim.shard"] span per shard, tagged with the executing domain's id
@@ -55,6 +56,13 @@ val run :
     owns resumable state (engine round, compaction trial) catches it and
     re-raises its own snapshot-carrying [Interrupted]; nothing in this
     module is left partially mutated. *)
+
+val shards : jobs:int -> int array -> int array array
+(** The sharding rule of {!run}: the target ids, in order, cut into
+    [min jobs groups] contiguous shards of whole 62-fault groups, where
+    [groups] is the id count divided by 62, rounded up. Shard sizes
+    differ by at most one group, and only the last shard can hold a
+    partial group. No ids give no shards. *)
 
 val coverage : outcome -> float
 (** Detected targets / universe size. *)

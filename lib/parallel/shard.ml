@@ -30,36 +30,3 @@ let merge ~size pieces =
         ids)
     pieces;
   (det_time, detected)
-
-let detections ?pool ?tune ?units ~size ~f ids =
-  let n = Array.length ids in
-  let units = match units with Some u -> u | None -> n in
-  let tune = match tune with Some t -> t | None -> Tune.shared () in
-  let want =
-    match pool with
-    | Some p when Pool.jobs p > 1 && n > 1 ->
-      min n (Tune.chunks tune ~jobs:(Pool.jobs p) ~units)
-    | _ -> 1
-  in
-  let pieces =
-    match pool with
-    | Some p when want > 1 ->
-      (* Defensive: [partition] never produces empty slices, but a
-         filtered id set upstream must not turn into zero-work shards
-         paying dispatch for nothing. *)
-      let slices =
-        Array.of_list
-          (List.filter
-             (fun c -> Array.length c > 0)
-             (Array.to_list (partition ~chunks:want ids)))
-      in
-      Pool.map_chunks p (fun chunk -> { ids = chunk; det_time = f chunk }) slices
-    | _ ->
-      (* Sequential executions feed the cost model; parallel wall time
-         would under-count per-unit work and is not recorded. *)
-      let t0 = Unix.gettimeofday () in
-      let det = f ids in
-      Tune.record tune ~units ~seconds:(Unix.gettimeofday () -. t0);
-      [| { ids; det_time = det } |]
-  in
-  merge ~size pieces

@@ -1,15 +1,16 @@
 (** Deterministic sharding of a fault universe over a {!Pool}.
 
-    The parallel fault simulator partitions the (canonically ordered)
-    fault-id array into contiguous chunks, runs one fully independent
-    simulation per chunk — each worker builds its own simulator instance,
-    so no mutable simulation state is shared between domains — and merges
-    the per-chunk detection times back into universe order.
+    {!Bist_fault.Fsim.run} cuts the (canonically ordered) target-id
+    array into contiguous shards of whole 62-fault groups, runs one fully
+    independent simulation per shard — each worker builds its own
+    simulator instance, so no mutable simulation state is shared between
+    domains — and {!merge}s the per-shard detection times back into
+    universe order.
 
-    Because chunks are disjoint slices of the canonical id order and a
+    Because shards are disjoint slices of the canonical id order and a
     fault's detection time does not depend on which other faults share
     its simulation pass, the merged result is {e bit-identical} for every
-    chunk count, including 1. That invariant is the contract the property
+    shard count, including 1. That invariant is the contract the property
     tests pin down, and it is what lets [BIST_JOBS] be applied to any
     existing workload without changing its output. *)
 
@@ -31,25 +32,3 @@ val merge : size:int -> piece array -> int array * Bist_util.Bitset.t
     [det_time] array (default [-1]) and the matching detected set.
     Pieces must hold disjoint ids below [size]; aligned [ids]/[det_time]
     lengths are enforced. *)
-
-val detections :
-  ?pool:Pool.t ->
-  ?tune:Tune.t ->
-  ?units:int ->
-  size:int ->
-  f:(int array -> int array) ->
-  int array ->
-  int array * Bist_util.Bitset.t
-(** [detections ?pool ~size ~f ids] runs [f] over chunks of [ids] —
-    [f chunk] must return chunk-local detection times aligned with
-    [chunk] — and merges. Without a pool, or with a sequential one, [f]
-    runs once on the whole of [ids].
-
-    With a multi-worker pool the chunk count comes from [tune]
-    (default {!Tune.shared}): calls whose declared work [units]
-    (default: the id count; fault simulation passes faults × sequence
-    length) fall below the measured crossover run sequentially, larger
-    calls are split into shards coarse enough to amortize pool dispatch,
-    and empty shards are never dispatched. Sequential executions are
-    timed into the tune's cost model. The result is bit-identical on
-    both sides of every such decision. *)

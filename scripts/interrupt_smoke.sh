@@ -68,8 +68,8 @@ tgen_deadline_loop x344 0.05
 #
 # Preemption inside sharded fault simulation must be invisible to
 # checkpoint/resume: payloads carry engine-round state, not simulator
-# state. Every leg runs with the parallel path forced on
-# (BIST_SHARD_MIN=0 shards even on a 1-core host) under -j 2. The final
+# state. Every leg runs under -j 2, which shards every fault simulation
+# of more than one 62-fault group, even on a 1-core host. The final
 # output must be cmp-identical to the uninterrupted sequential reference
 # from the loop above — one assertion covering interrupt/resume and
 # --jobs width at once.
@@ -82,7 +82,7 @@ legs=0 preempts=0 resume=()
 while :; do
   legs=$((legs + 1))
   [ "$legs" -le 500 ] || fail "ppsfp: resume loop did not converge"
-  BIST_SHARD_MIN=0 "$BISTGEN" tgen "$ppsfp_circuit" --seed 7 -j 2 -o "$out" \
+  "$BISTGEN" tgen "$ppsfp_circuit" --seed 7 -j 2 -o "$out" \
     --deadline 0.05 --checkpoint "$ckpt" ${resume[@]+"${resume[@]}"} \
     >/dev/null 2>&1
   st=$?
@@ -100,7 +100,19 @@ done
 [ ! -f "$ckpt" ] || fail "ppsfp: checkpoint not removed after success"
 cmp -s "$ref" "$out" \
   || fail "ppsfp: parallel interrupted run differs from sequential reference"
-say "tgen $ppsfp_circuit (ppsfp, -j 2, sharding forced): bit-identical after $preempts preemption(s), $legs legs"
+say "tgen $ppsfp_circuit (ppsfp, -j 2): bit-identical after $preempts preemption(s), $legs legs"
+
+# The loop above proves nothing about sharding unless -j 2 really
+# shards: one traced run must put fsim.shard spans on at least two
+# domains (trace tid = domain id).
+trace="$work/ppsfp.trace.json"
+"$BISTGEN" tgen "$ppsfp_circuit" --seed 7 -j 2 -o "$out" --trace "$trace" \
+  >/dev/null 2>&1 || fail "ppsfp: traced -j 2 run failed"
+cmp -s "$ref" "$out" || fail "ppsfp: traced -j 2 run differs from sequential reference"
+tids=$(grep '"name": "fsim.shard"' "$trace" \
+  | sed -n 's/.*"tid": \([0-9][0-9]*\).*/\1/p' | sort -u | wc -l)
+[ "$tids" -ge 2 ] || fail "ppsfp: -j 2 fsim.shard spans ran on $tids domain(s), expected >= 2"
+say "tgen $ppsfp_circuit (ppsfp, -j 2, traced): fsim.shard spans on $tids domains"
 
 # --- tgen: SIGTERM preemption ----------------------------------------
 

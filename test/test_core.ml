@@ -274,6 +274,25 @@ let test_best_n () =
   Alcotest.(check int) "best has minimal max length" min_max
     best.Scheme.after.max_length
 
+let test_better_ignores_time () =
+  let r2 = Scheme.execute ~seed:7 ~n:2 ~t0:s27_t0 s27_universe in
+  let with_ n seconds =
+    { r2 with Scheme.n; proc1_seconds = seconds; compaction_seconds = seconds }
+  in
+  let n_of a b = (Scheme.better a b).Scheme.n in
+  let fast4 = with_ 4 0.1 and slow4 = with_ 4 9.0 in
+  let fast8 = with_ 8 0.1 and slow8 = with_ 8 9.0 in
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check int) "equal lengths: smaller n" 4 (n_of a b);
+      Alcotest.(check int) "either order" 4 (n_of b a))
+    [ (fast4, slow8); (slow4, fast8) ];
+  let shorter = { slow8 with after = { r2.after with max_length = 0 } } in
+  Alcotest.(check int) "length still comes first" 8 (n_of fast4 shorter);
+  let a = Scheme.best_n ~seed:7 ~t0:s27_t0 s27_universe in
+  let b = Scheme.best_n ~seed:7 ~t0:s27_t0 s27_universe in
+  Alcotest.(check int) "best_n repeats its n" a.Scheme.n b.Scheme.n
+
 let test_scheme_operator_ablation () =
   (* The scheme stays sound with restricted operator sets: whatever the
      pipeline, coverage of F must be preserved. *)
@@ -310,6 +329,7 @@ let suite =
     Alcotest.test_case "scheme on s27" `Quick test_scheme_s27;
     Alcotest.test_case "scheme deterministic" `Quick test_scheme_deterministic;
     Alcotest.test_case "best n rule" `Quick test_best_n;
+    Alcotest.test_case "best n ignores run time" `Quick test_better_ignores_time;
     Alcotest.test_case "operator ablation stays sound" `Quick
       test_scheme_operator_ablation;
   ]

@@ -7,7 +7,6 @@
 
 module Pool = Bist_parallel.Pool
 module Shard = Bist_parallel.Shard
-module Tune = Bist_parallel.Tune
 module Rng = Bist_util.Rng
 module Bitset = Bist_util.Bitset
 module Tseq = Bist_logic.Tseq
@@ -16,6 +15,7 @@ module Netlist = Bist_circuit.Netlist
 module Universe = Bist_fault.Universe
 module Fsim = Bist_fault.Fsim
 module Fault_table = Bist_fault.Fault_table
+module Json = Bist_obs.Json_check
 
 (* Suite-level pools, shared by every test below — which is itself a
    standing check that a pool survives arbitrary reuse. Widths are
@@ -24,10 +24,6 @@ module Fault_table = Bist_fault.Fault_table
 let pool1 = Pool.create ~jobs:1 ()
 let pool2 = Pool.create ~jobs:2 ()
 let pool4 = Pool.create ~jobs:4 ()
-
-(* Sharding forced regardless of this host's core count or the measured
-   crossover, so the parallel machinery is really exercised. *)
-let tune_forced () = Tune.create ~min_units:1 ()
 
 (* Shard.partition *)
 
@@ -64,12 +60,101 @@ let test_merge_scatter () =
       ignore (Shard.merge ~size:3 [| { Shard.ids = [| 0 |]; det_time = [||] } |]))
 
 let test_detections_empty_universe () =
-  let det_time, detected =
-    Shard.detections ~pool:pool4 ~size:5 ~f:(fun ids -> Array.map (fun _ -> 0) ids)
-      [||]
+  let universe = Universe.collapsed (Bist_bench.S27.circuit ()) in
+  let size = Universe.size universe in
+  let outcome =
+    Fsim.run ~pool:pool4 ~targets:(Bitset.create size) universe
+      (Bist_bench.S27.t0 ())
   in
-  Alcotest.(check (array int)) "all undetected" (Array.make 5 (-1)) det_time;
-  Alcotest.(check bool) "nothing detected" true (Bitset.is_empty detected)
+  Alcotest.(check (array int)) "all undetected" (Array.make size (-1))
+    outcome.Fsim.det_time;
+  Alcotest.(check bool) "nothing detected" true
+    (Bitset.is_empty outcome.Fsim.detected)
+
+(* Fsim's sharding rule: whole 62-fault groups, min(jobs, groups)
+   contiguous shards, nothing dispatched for one group or one worker. *)
+
+let test_shards_whole_groups () =
+  List.iter
+    (fun n ->
+      (* Distinct, non-contiguous ids, so a reordering shows. *)
+      let ids = Array.init n (fun i -> (3 * i) + 1) in
+      List.iter
+        (fun jobs ->
+          let shards = Fsim.shards ~jobs ids in
+          let label what = Printf.sprintf "n=%d jobs=%d: %s" n jobs what in
+          Alcotest.(check (array int)) (label "concatenation is the targets")
+            ids (Array.concat (Array.to_list shards));
+          Alcotest.(check int) (label "min(jobs, groups) shards")
+            (min jobs ((n + 61) / 62)) (Array.length shards);
+          Array.iteri
+            (fun i shard ->
+              if i < Array.length shards - 1 then
+                Alcotest.(check int) (label "whole groups before the last") 0
+                  (Array.length shard mod 62))
+            shards)
+        [ 1; 2; 3; 4; 8 ])
+    [ 0; 1; 61; 62; 63; 124; 125; 186; 200; 400; 1000 ]
+
+(* x298 (490 faults, 8 groups) with its first [k] faults as targets. *)
+let x298_universe =
+  lazy (Universe.collapsed ((Option.get (Bist_bench.Registry.find "x298")).circuit ()))
+
+let first_faults universe k =
+  let set = Bitset.create (Universe.size universe) in
+  for id = 0 to k - 1 do Bitset.add set id done;
+  set
+
+let random_seq universe ~seed ~length =
+  Tseq.random_binary (Rng.create seed)
+    ~width:(Netlist.num_inputs (Universe.circuit universe)) ~length
+
+(* [Fsim.run] really uses the rule: its shard spans carry the sizes of
+   [Fsim.shards], and the pool sees exactly one task per extra shard. *)
+let test_run_follows_shard_rule () =
+  let universe = Lazy.force x298_universe in
+  let seq = random_seq universe ~seed:5 ~length:16 in
+  List.iter
+    (fun n ->
+      let targets = first_faults universe n in
+      List.iter
+        (fun pool ->
+          let jobs = Pool.jobs pool in
+          let label what = Printf.sprintf "n=%d jobs=%d: %s" n jobs what in
+          let obs = Bist_obs.Obs.create ~trace:true () in
+          let before = Pool.dispatched_tasks () in
+          ignore (Fsim.run ~obs ~pool ~targets universe seq);
+          let tasks = Pool.dispatched_tasks () - before in
+          let expected =
+            if jobs = 1 || n <= 62 then [ n ]
+            else
+              Array.to_list
+                (Array.map Array.length (Fsim.shards ~jobs (Array.init n Fun.id)))
+          in
+          let sizes =
+            match Json.parse (Bist_obs.Obs.trace_json obs) with
+            | Ok json -> (
+              match Json.member "traceEvents" json with
+              | Some (Json.List events) ->
+                List.filter_map
+                  (fun e ->
+                    match
+                      ( Json.member "name" e,
+                        Option.bind (Json.member "args" e) (Json.member "faults") )
+                    with
+                    | Some (Json.String "fsim.shard"), Some (Json.String k) ->
+                      Some (int_of_string k)
+                    | _ -> None)
+                  events
+              | _ -> Alcotest.fail "no traceEvents")
+            | Error m -> Alcotest.failf "trace rejected: %s" m
+          in
+          Alcotest.(check (list int)) (label "shard span sizes")
+            (List.sort compare expected) (List.sort compare sizes);
+          Alcotest.(check int) (label "dispatched tasks")
+            (List.length expected - 1) tasks)
+        [ pool1; pool2; pool4 ])
+    [ 1; 62; 63; 130; 250; Universe.size universe ]
 
 (* Pool.map_chunks *)
 
@@ -182,10 +267,10 @@ let fault_table_determinism =
          in
          let reference = Fault_table.compute ~pool:pool1 universe seq in
          same_table reference
-           (Fault_table.compute ~pool:pool2 ~tune:(tune_forced ()) universe seq)
+           (Fault_table.compute ~pool:pool2 universe seq)
            universe
          && same_table reference
-              (Fault_table.compute ~pool:pool4 ~tune:(tune_forced ()) universe seq)
+              (Fault_table.compute ~pool:pool4 universe seq)
               universe))
 
 (* The acceptance bar of this PR: on every registry circuit, the jobs=4
@@ -200,9 +285,7 @@ let test_registry_tables_identical () =
         Tseq.random_binary rng ~width:(Netlist.num_inputs circuit) ~length:24
       in
       let reference = Fault_table.compute ~pool:pool1 universe seq in
-      let parallel =
-        Fault_table.compute ~pool:pool4 ~tune:(tune_forced ()) universe seq
-      in
+      let parallel = Fault_table.compute ~pool:pool4 universe seq in
       Alcotest.(check bool)
         (entry.name ^ " jobs=4 == jobs=1")
         true
@@ -218,7 +301,7 @@ let test_fsim_targets_with_pool () =
     if id mod 2 = 0 then Bitset.add targets id
   done;
   let a = Fsim.run ~pool:pool1 ~targets universe t0 in
-  let b = Fsim.run ~pool:pool4 ~tune:(tune_forced ()) ~targets universe t0 in
+  let b = Fsim.run ~pool:pool4 ~targets universe t0 in
   Alcotest.(check (array int)) "target det times identical" a.Fsim.det_time
     b.Fsim.det_time;
   Alcotest.(check bool) "non-targets untouched" true
@@ -280,40 +363,6 @@ let test_packed_vs_seq_sim_registry_and_teaching () =
         (Testutil.packed_lane0_matches_seq_sim circuit seq))
     circuits
 
-(* The sequential/parallel crossover policy (Tune) *)
-
-let test_tune_policy () =
-  let t1 = Tune.create ~cores:1 () in
-  Alcotest.(check int) "cores=1 never shards" 1
-    (Tune.chunks t1 ~jobs:4 ~units:1_000_000);
-  let tf = Tune.create ~min_units:0 () in
-  Alcotest.(check int) "min_units=0 forces maximal sharding" 4
-    (Tune.chunks tf ~jobs:4 ~units:3);
-  let tm = Tune.create ~min_units:10 () in
-  Alcotest.(check int) "fixed floor divides the work" 3
-    (Tune.chunks tm ~jobs:8 ~units:35);
-  Alcotest.(check int) "jobs=1 is always sequential" 1
-    (Tune.chunks tf ~jobs:1 ~units:1_000_000);
-  (* Measured crossover: record 1 µs/unit, so the 0.5 ms floor is 500
-     units per shard. *)
-  let t = Tune.create ~cores:4 () in
-  Tune.record t ~units:1000 ~seconds:0.001;
-  Alcotest.(check bool) "ns/unit learned" true
-    (abs_float (Tune.ns_per_unit t -. 1000.) < 1e-6);
-  Alcotest.(check int) "below the crossover" 1 (Tune.chunks t ~jobs:4 ~units:999);
-  Alcotest.(check int) "just above the crossover" 2
-    (Tune.chunks t ~jobs:4 ~units:1000);
-  Alcotest.(check int) "large work caps at jobs" 4
-    (Tune.chunks t ~jobs:4 ~units:1_000_000);
-  (* EWMA: a second, slower measurement moves the estimate 30% of the
-     way. *)
-  Tune.record t ~units:1000 ~seconds:0.002;
-  Alcotest.(check bool) "EWMA folds new measurements" true
-    (abs_float (Tune.ns_per_unit t -. 1300.) < 1e-6);
-  Tune.record t ~units:0 ~seconds:1.0;
-  Alcotest.(check bool) "zero-unit records ignored" true
-    (abs_float (Tune.ns_per_unit t -. 1300.) < 1e-6)
-
 (* Dispatch amortization: task count is O(width), not O(chunks), and
    empty or sequential calls enqueue nothing. *)
 let test_dispatch_task_count () =
@@ -328,20 +377,15 @@ let test_dispatch_task_count () =
   ignore (Pool.map_chunks pool1 Fun.id (Array.init 10 Fun.id));
   Alcotest.(check int) "singleton/empty/sequential: no tasks" (base + 4)
     (Pool.dispatched_tasks ());
-  (* Sharded detections: 3 ids forced over jobs=4 make 3 never-empty
-     slices, hence 2 helper tasks beyond the caller. *)
-  let f ids = Array.map (fun _ -> -1) ids in
-  ignore
-    (Shard.detections ~pool:pool4 ~tune:(Tune.create ~min_units:0 ()) ~size:4 ~f
-       (Array.init 3 Fun.id));
-  Alcotest.(check int) "3 slices on jobs=4: 2 tasks" (base + 6)
+  (* Fault simulation: 3 groups on jobs=4 make 3 shards, hence 2 helper
+     tasks beyond the caller; 1 group runs in the caller. *)
+  let universe = Lazy.force x298_universe in
+  let seq = random_seq universe ~seed:3 ~length:8 in
+  ignore (Fsim.run ~pool:pool4 ~targets:(first_faults universe (3 * 62)) universe seq);
+  Alcotest.(check int) "3 groups on jobs=4: 2 tasks" (base + 6)
     (Pool.dispatched_tasks ());
-  (* Below the crossover nothing is dispatched at all. *)
-  ignore
-    (Shard.detections ~pool:pool4 ~tune:(Tune.create ~min_units:max_int ())
-       ~size:4 ~f (Array.init 3 Fun.id));
-  Alcotest.(check int) "sequential crossover: no tasks" (base + 6)
-    (Pool.dispatched_tasks ())
+  ignore (Fsim.run ~pool:pool4 ~targets:(first_faults universe 62) universe seq);
+  Alcotest.(check int) "1 group: no tasks" (base + 6) (Pool.dispatched_tasks ())
 
 let suite =
   [
@@ -355,7 +399,7 @@ let suite =
     Alcotest.test_case "rng split across domains" `Quick test_rng_split_across_domains;
     Alcotest.test_case "rng chunk splits are width-independent" `Quick
       test_map_chunks_rng_width_independent;
-    Alcotest.test_case "tune crossover policy" `Quick test_tune_policy;
+    Alcotest.test_case "fsim shards whole groups" `Quick test_shards_whole_groups;
     Alcotest.test_case "dispatch task count pinned" `Quick
       test_dispatch_task_count;
     fault_table_determinism;
@@ -367,4 +411,6 @@ let suite =
     test_packed_vs_seq_sim_random;
     Alcotest.test_case "packed vs Seq_sim (known circuits)" `Quick
       test_packed_vs_seq_sim_registry_and_teaching;
+    Alcotest.test_case "fsim run follows the shard rule" `Quick
+      test_run_follows_shard_rule;
   ]

@@ -15,12 +15,11 @@
      compared against the fault-free run.
 
    The first is checked against the second over the whole universe, at
-   several pool widths and on both sides of the sharding crossover; the
-   third is scalar and per-fault, so it covers s27 and a band of small
-   synthetics. The single-fault path ({!Bist_fault.Fsim.single}, whose
-   trace buffer is reused across sequences) and the snapshot calls the
-   directed search branches with are checked against {!Packed_sim}
-   too. *)
+   pool widths 1, 2 and 4; the third is scalar and per-fault, so it
+   covers s27 and a band of small synthetics. The single-fault path
+   ({!Bist_fault.Fsim.single}, whose trace buffer is reused across
+   sequences) and the snapshot calls the directed search branches with
+   are checked against {!Packed_sim} too. *)
 
 module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
@@ -33,20 +32,17 @@ module Universe = Bist_fault.Universe
 module Fault = Bist_fault.Fault
 module Fsim = Bist_fault.Fsim
 module Pool = Bist_parallel.Pool
-module Tune = Bist_parallel.Tune
 module Ppsfp = Bist_sim.Ppsfp
 module Seq_sim = Bist_sim.Seq_sim
 
+(* Explicit widths: the domains exist even on a one-core host, so on
+   pool2 and pool4 every target set of more than 62 faults really is
+   sharded. *)
+let pool1 = Pool.create ~jobs:1 ()
 let pool2 = Pool.create ~jobs:2 ()
 let pool4 = Pool.create ~jobs:4 ()
 
-(* Sharding forced into [jobs] chunks / suppressed entirely — the two
-   sides of the crossover, pinned independently of this host's cores. *)
-let tune_shard () = Tune.create ~min_units:1 ()
-let tune_seq () = Tune.create ~min_units:max_int ()
-
-let det_times ?pool ?tune universe seq =
-  (Fsim.run ?pool ?tune universe seq).Fsim.det_time
+let det_times ?pool universe seq = (Fsim.run ?pool universe seq).Fsim.det_time
 
 let install sim fault ~lane =
   let mask = 1 lsl lane in
@@ -91,8 +87,7 @@ let seq_for circuit ~seed ~len =
   let rng = Rng.create seed in
   Tseq.random_binary rng ~width:(Netlist.num_inputs circuit) ~length:len
 
-(* PPSFP vs Packed_sim on the 25 seeded synthetics, at widths 1/2/4 and
-   across the crossover boundary. *)
+(* PPSFP vs Packed_sim on the 25 seeded synthetics, at widths 1/2/4. *)
 let test_synthetics_ppsfp_vs_packed () =
   for seed = 0 to 24 do
     let circuit = Testutil.small_circuit (17 * seed) in
@@ -101,21 +96,17 @@ let test_synthetics_ppsfp_vs_packed () =
     let reference = packed_det_times universe seq in
     let label variant = Printf.sprintf "seed %d: %s == packed" seed variant in
     Alcotest.(check (array int))
-      (label "ppsfp sequential")
+      (label "ppsfp jobs=1")
       reference
-      (det_times ~tune:(tune_seq ()) universe seq);
+      (det_times ~pool:pool1 universe seq);
     Alcotest.(check (array int))
-      (label "ppsfp jobs=2 sharded")
+      (label "ppsfp jobs=2")
       reference
-      (det_times ~pool:pool2 ~tune:(tune_shard ()) universe seq);
+      (det_times ~pool:pool2 universe seq);
     Alcotest.(check (array int))
-      (label "ppsfp jobs=4 sharded")
+      (label "ppsfp jobs=4")
       reference
-      (det_times ~pool:pool4 ~tune:(tune_shard ()) universe seq);
-    Alcotest.(check (array int))
-      (label "ppsfp jobs=4 below crossover")
-      reference
-      (det_times ~pool:pool4 ~tune:(tune_seq ()) universe seq)
+      (det_times ~pool:pool4 universe seq)
   done
 
 (* Same cross-check on every registry circuit. *)
@@ -129,15 +120,22 @@ let test_registry_ppsfp_vs_packed () =
       Alcotest.(check (array int))
         (entry.name ^ ": ppsfp == packed")
         reference
-        (det_times ~tune:(tune_seq ()) universe seq);
+        (det_times ~pool:pool1 universe seq);
+      let before = Pool.dispatched_tasks () in
       Alcotest.(check (array int))
         (entry.name ^ ": ppsfp jobs=2 == packed")
         reference
-        (det_times ~pool:pool2 ~tune:(tune_shard ()) universe seq))
+        (det_times ~pool:pool2 universe seq);
+      (* Only s27 fits in one 62-fault group; every other circuit
+         really is sharded at jobs=2. *)
+      Alcotest.(check int)
+        (entry.name ^ ": jobs=2 tasks")
+        (if entry.name = "s27" then 0 else 1)
+        (Pool.dispatched_tasks () - before))
     (Bist_bench.Registry.all ())
 
 (* The qcheck property: any synthetic circuit, any binary sequence, any
-   width/crossover side — same table. *)
+   width — same table. *)
 let ppsfp_differential_property =
   Testutil.qcheck
     (QCheck.Test.make ~name:"ppsfp == packed (random circuit/seq/width)"
@@ -147,13 +145,13 @@ let ppsfp_differential_property =
          let universe = Universe.collapsed circuit in
          let seq = seq_for circuit ~seed:sseed ~len in
          let reference = packed_det_times universe seq in
-         let pool, tune =
+         let pool =
            match (cseed + sseed + len) mod 3 with
-           | 0 -> (None, tune_seq ())
-           | 1 -> (Some pool2, tune_shard ())
-           | _ -> (Some pool4, tune_shard ())
+           | 0 -> pool1
+           | 1 -> pool2
+           | _ -> pool4
          in
-         reference = det_times ?pool ~tune universe seq))
+         reference = det_times ~pool universe seq))
 
 (* --- structural fault compilation for the Seq_sim oracle ------------ *)
 
