@@ -131,6 +131,8 @@ let find ?(strategy = paper_strategy) ?(operators = Ops.all_operators)
           done;
           if not !accepted then continue := false
         done);
+  Obs.count obs ~by:!sims "proc2.simulations";
+  Obs.count obs ~by:!time_units "proc2.time_units";
   {
     subsequence = !seq;
     ustart;

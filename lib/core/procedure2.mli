@@ -69,8 +69,10 @@ val find :
 
     [obs] records a ["proc2.widen"] span (window growth, phase 1) and a
     ["proc2.omit"] span (vector omission, phase 2) per call, each tagged
-    with the fault name, plus a ["proc2.undetected"] counter when the
-    typed error fires.
+    with the fault name, adds the outcome's [simulations] and
+    [simulated_time_units] to the ["proc2.simulations"] and
+    ["proc2.time_units"] counters, and counts ["proc2.undetected"] when
+    the typed error fires.
 
     [ctl] (default: none) is polled before every single-fault simulation
     in both phases; a demanded stop raises

@@ -29,7 +29,8 @@ let install sim fault ~lane =
    the same times. A detected fault's lane is dropped on the spot (its
    time is fixed, and lanes are independent bitwise, so the remaining
    lanes are unaffected), and a group ends as soon as all its lanes have
-   been detected. *)
+   been detected. Returns the times, the group-steps simulated and the
+   fault-free steps the trace materialised. *)
 let run_ids ?ctl universe seq ids =
   let circuit = Universe.circuit universe in
   let k = Array.length ids in
@@ -38,6 +39,7 @@ let run_ids ?ctl universe seq ids =
   let tr = Ppsfp.trace sim seq in
   let len = Tseq.length seq in
   let n_groups = (k + faults_per_pass - 1) / faults_per_pass in
+  let group_steps = ref 0 in
   for g = 0 to n_groups - 1 do
     (* Safe point between groups: nothing partial is committed, a
        preempted shard just raises out through the pool. *)
@@ -62,9 +64,10 @@ let run_ids ?ctl universe seq ids =
         Ppsfp.drop_lanes sim newly
       end;
       incr u
-    done
+    done;
+    group_steps := !group_steps + !u
   done;
-  det_local
+  (det_local, !group_steps, Ppsfp.trace_length tr)
 
 (* Whole groups are the unit of sharding: [min jobs groups] contiguous
    shards, balanced within one group, so every pool width simulates
@@ -89,16 +92,20 @@ let run ?(obs = Obs.null) ?pool ?ctl ?targets ?stop_when_all_detected:_
   let pool = match pool with Some _ -> pool | None -> Pool.from_env () in
   (* The shard closure runs on the pool's worker domains, so each span
      lands on its own trace track (tid = domain id): parallel shard
-     utilisation is readable straight off the timeline. *)
+     utilisation is readable straight off the timeline. Every width
+     simulates the same groups, so the group counters, added once per
+     shard, do not depend on the pool. *)
   let piece ids =
-    let det_time =
+    let det_time, group_steps, trace_steps =
       Obs.span obs ~cat:"fsim" "fsim.shard"
         ~args:(fun () ->
           [ ("faults", string_of_int (Array.length ids));
             ("seq_len", string_of_int (Tseq.length seq)) ])
         (fun () -> run_ids ?ctl universe seq ids)
     in
-    { Shard.ids; det_time }
+    Obs.count obs ~by:((Array.length ids + faults_per_pass - 1) / faults_per_pass) "fsim.groups";
+    Obs.count obs ~by:group_steps "fsim.group_steps";
+    ({ Shard.ids; det_time }, trace_steps)
   in
   let pieces =
     match pool with
@@ -106,7 +113,11 @@ let run ?(obs = Obs.null) ?pool ?ctl ?targets ?stop_when_all_detected:_
       Pool.map_chunks p piece (shards ~jobs:(Pool.jobs p) target_ids)
     | _ -> [| piece target_ids |]
   in
-  let det_time, detected = Shard.merge ~size:n_faults pieces in
+  (* Each shard sweeps its own trace up to its longest group; the longest
+     of those is the trace a sequential run materialises, so this count
+     does not depend on the pool either. *)
+  Obs.count obs ~by:(Array.fold_left (fun m (_, s) -> max m s) 0 pieces) "fsim.trace_steps";
+  let det_time, detected = Shard.merge ~size:n_faults (Array.map fst pieces) in
   { universe; det_time; detected }
 
 let coverage outcome =

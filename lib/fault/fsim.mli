@@ -48,7 +48,13 @@ val run :
 
     [obs] (default {!Bist_obs.Obs.null}, a no-op) records one
     ["fsim.shard"] span per shard, tagged with the executing domain's id
-    and the shard's fault count.
+    and the shard's fault count. It adds the run's work to three
+    counters: ["fsim.groups"] (62-fault groups), ["fsim.group_steps"]
+    (time steps simulated, summed over groups) and ["fsim.trace_steps"]
+    (the fault-free steps a sequential run materialises, as many as its
+    longest group simulates; each shard of a pooled run sweeps its own
+    trace, which this count does not add up). All three are the same at
+    every pool width.
 
     [ctl] (default: none) is polled between 62-fault groups inside every
     shard — including on worker domains — and raises

@@ -18,7 +18,13 @@ module Gate = Bist_circuit.Gate
 
    Trace bytes encode a ternary value in two bits: bit 0 = one-plane,
    bit 1 = zero-plane (1 = One, 2 = Zero, 0 = X). Broadcasting a byte to
-   a packed plane is [-(code land 1)] / [-((code lsr 1) land 1)]. *)
+   a packed plane is [-(code land 1)] / [-((code lsr 1) land 1)].
+
+   The fault-free machine is swept by a compiled program over those
+   codes: [create] lays every combinational node, in level order, into
+   flat [(node, a, b, row)] entries, and a step stores
+   [table.[row + 4 * code a + code b]] at [node] for each entry, with no
+   dispatch on gate kind. *)
 
 let kind_code = function
   | Gate.Buf -> 0
@@ -34,6 +40,29 @@ let kind_code = function
   | Gate.Input -> -1
   | Gate.Dff -> -2
 
+let code_of_ternary = function T.One -> 1 | T.Zero -> 2 | T.X -> 0
+
+(* Code 3 never occurs in a trace; it reads as X. *)
+let ternary_of_code = function 1 -> T.One | 2 -> T.Zero | _ -> T.X
+
+(* The 2-bit code of [kind] applied to codes [a] and [b], at index
+   [16 * kind_code kind + 4 * a + b], from [Gate.eval]: one-input kinds
+   read [a], constants read nothing. *)
+let table =
+  let kinds =
+    Gate.[| Buf; Not; And; Nand; Or; Nor; Xor; Xnor; Const0; Const1 |]
+  in
+  String.init 160 (fun i ->
+      let kind = kinds.(i / 16) in
+      let a = ternary_of_code ((i lsr 2) land 3) and b = ternary_of_code (i land 3) in
+      let inputs =
+        match kind with
+        | Gate.Buf | Gate.Not -> [| a |]
+        | Gate.Const0 | Gate.Const1 -> [||]
+        | _ -> [| a; b |]
+      in
+      Char.chr (code_of_ternary (Gate.eval kind inputs)))
+
 type t = {
   circuit : Netlist.t;
   n : int;
@@ -48,6 +77,7 @@ type t = {
   level_of : int array;
   max_level : int;
   topo : int array; (* combinational nodes, level order *)
+  prog : int array; (* the fault-free sweep, 4 ints per entry *)
   pis : int array;
   pos : int array;
   dff_nodes : int array;
@@ -147,6 +177,39 @@ let create circuit =
       next.(l) <- next.(l) + 1
     end
   done;
+  (* The fault-free sweep, one entry per one-input gate or constant
+     (a = b = its fanin, or the node itself) and [k - 1] entries per
+     k-input gate: the first folds fanins 0 and 1 with the kind's AND,
+     OR or XOR row into the node's own byte, the next ones fold that byte
+     with one more fanin, and the last applies the kind's own row. *)
+  let entries = ref 0 in
+  for i = 0 to Array.length topo - 1 do
+    entries := !entries + max 1 (nfan_len.(topo.(i)) - 1)
+  done;
+  let prog = Array.make (4 * !entries) 0 in
+  let pos = ref 0 in
+  let emit node a b row =
+    prog.(!pos) <- node;
+    prog.(!pos + 1) <- a;
+    prog.(!pos + 2) <- b;
+    prog.(!pos + 3) <- row;
+    pos := !pos + 4
+  in
+  for i = 0 to Array.length topo - 1 do
+    let node = topo.(i) in
+    let k = nkind.(node) and off = nfan_off.(node) and len = nfan_len.(node) in
+    if len <= 1 then begin
+      let a = if len = 0 then node else nfan.(off) in
+      emit node a a (16 * k)
+    end
+    else
+      for j = 1 to len - 1 do
+        emit node
+          (if j = 1 then nfan.(off) else node)
+          nfan.(off + j)
+          (if j = len - 1 then 16 * k else 16 * (k land lnot 1))
+      done
+  done;
   let dffs = Netlist.dffs circuit in
   {
     circuit;
@@ -161,6 +224,7 @@ let create circuit =
     level_of = levels;
     max_level;
     topo;
+    prog;
     pis = Netlist.inputs circuit;
     pos = Netlist.outputs circuit;
     dff_nodes = Array.copy dffs;
@@ -217,11 +281,7 @@ type trace = {
   mutable data : Bytes.t; (* [upto * tr_n] materialized bytes *)
   mutable upto : int;
   g_state : int array; (* per-flip-flop present-state code *)
-  g_topo : int array;
-  g_kind : int array;
-  g_off : int array;
-  g_len : int array;
-  g_fan : int array;
+  g_prog : int array;
   g_pis : int array;
   g_dffs : int array;
   g_dff_d : int array;
@@ -234,11 +294,7 @@ let trace t seq = {
   data = Bytes.make (t.n * min (max 1 (Tseq.length seq)) 64) '\000';
   upto = 0;
   g_state = Array.make (Array.length t.dff_nodes) 0;
-  g_topo = t.topo;
-  g_kind = t.nkind;
-  g_off = t.nfan_off;
-  g_len = t.nfan_len;
-  g_fan = t.nfan;
+  g_prog = t.prog;
   g_pis = t.pis;
   g_dffs = t.dff_nodes;
   g_dff_d = t.dff_d;
@@ -262,20 +318,10 @@ let retrace ?from tr seq =
 let good_value tr u node =
   if u < 0 || u >= tr.upto || node < 0 || node >= tr.tr_n then
     invalid_arg "Ppsfp.good_value: step not simulated or node out of range";
-  match Char.code (Bytes.get tr.data ((u * tr.tr_n) + node)) with
-  | 1 -> T.One
-  | 2 -> T.Zero
-  | _ -> T.X
+  ternary_of_code (Char.code (Bytes.get tr.data ((u * tr.tr_n) + node)))
 
-(* Scalar ternary evaluation over 2-bit codes, with exactly the packed
-   kernel's bitwise formulas applied to 1-bit planes — so the trace and
-   lane 0 of a packed pass can never disagree. A fanin's code feeds the
-   one-plane formula whole and the zero-plane formula shifted right by
-   one: bit 0 of each accumulator evolves as the 1-bit plane does, and
-   the higher bits, which no formula mixes into bit 0, are masked off
-   before the code is stored. The loops are written out (no closures,
-   two-input AND/OR unrolled), since a single-fault caller pays this
-   sweep on every step of every candidate. *)
+(* One step of the fault-free machine: PI and present-state codes in,
+   then the compiled program, then the next state out. *)
 let trace_step tr =
   let u = tr.upto in
   let n = tr.tr_n in
@@ -291,13 +337,9 @@ let trace_step tr =
   let vec = Tseq.get tr.seq u in
   let pis = tr.g_pis in
   for i = 0 to Array.length pis - 1 do
-    let c =
-      match Bist_logic.Vector.get vec i with
-      | T.One -> 1
-      | T.Zero -> 2
-      | T.X -> 0
-    in
-    Bytes.unsafe_set data (base + Array.unsafe_get pis i) (Char.unsafe_chr c)
+    Bytes.unsafe_set data
+      (base + Array.unsafe_get pis i)
+      (Char.unsafe_chr (code_of_ternary (Bist_logic.Vector.get vec i)))
   done;
   let dffs = tr.g_dffs and state = tr.g_state in
   for i = 0 to Array.length dffs - 1 do
@@ -305,56 +347,14 @@ let trace_step tr =
       (base + Array.unsafe_get dffs i)
       (Char.unsafe_chr (Array.unsafe_get state i))
   done;
-  let topo = tr.g_topo and fan = tr.g_fan in
-  for i = 0 to Array.length topo - 1 do
-    let node = Array.unsafe_get topo i in
-    let kind = Array.unsafe_get tr.g_kind node in
-    let off = Array.unsafe_get tr.g_off node in
-    let len = Array.unsafe_get tr.g_len node in
-    let o = ref 0 and z = ref 0 in
-    (match kind with
-    | (2 | 3) when len = 2 ->
-      let a = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan off)) in
-      let b = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan (off + 1))) in
-      o := a land b;
-      z := (a lor b) lsr 1
-    | (4 | 5) when len = 2 ->
-      let a = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan off)) in
-      let b = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan (off + 1))) in
-      o := a lor b;
-      z := (a land b) lsr 1
-    | 2 | 3 ->
-      o := 1;
-      for j = off to off + len - 1 do
-        let c = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan j)) in
-        o := !o land c;
-        z := !z lor (c lsr 1)
-      done
-    | 4 | 5 ->
-      z := 1;
-      for j = off to off + len - 1 do
-        let c = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan j)) in
-        o := !o lor c;
-        z := !z land (c lsr 1)
-      done
-    | 6 | 7 ->
-      z := 1;
-      for j = off to off + len - 1 do
-        let c = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan j)) in
-        let io = c land 1 and iz = c lsr 1 in
-        let no = (!o land iz) lor (!z land io) in
-        z := (!o land io) lor (!z land iz);
-        o := no
-      done
-    | 0 | 1 ->
-      let c = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get fan off)) in
-      o := c;
-      z := c lsr 1
-    | 8 -> z := 1
-    | _ -> o := 1);
-    let o = !o land 1 and z = !z land 1 in
-    let c = if kind land 1 = 1 && kind < 8 then z lor (o lsl 1) else o lor (z lsl 1) in
-    Bytes.unsafe_set data (base + node) (Char.unsafe_chr c)
+  let prog = tr.g_prog and table = table in
+  for e = 0 to (Array.length prog / 4) - 1 do
+    let j = 4 * e in
+    let a = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get prog (j + 1))) in
+    let b = Char.code (Bytes.unsafe_get data (base + Array.unsafe_get prog (j + 2))) in
+    Bytes.unsafe_set data
+      (base + Array.unsafe_get prog j)
+      (String.unsafe_get table (Array.unsafe_get prog (j + 3) + (4 * a) + b))
   done;
   let dff_d = tr.g_dff_d in
   for i = 0 to Array.length dff_d - 1 do

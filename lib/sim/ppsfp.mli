@@ -12,7 +12,11 @@
 
     - the {e good machine} is simulated once per sequence into a shared
       {!trace}; every group pass reads good values out of the trace
-      instead of recomputing them;
+      instead of recomputing them. {!create} compiles that sweep into a
+      flat program of [(node, a, b, row)] entries over a 160-byte table
+      built from {!Bist_circuit.Gate.eval}, so a trace step is one table
+      lookup per entry with no dispatch on gate kind (gates of three or
+      more fanins fold over extra entries);
     - gates are evaluated {e event-driven} over a levelized flat-array
       program: a gate runs only when a fanin's packed word actually
       differs from the fault-free broadcast, so quiescent levels cost
@@ -27,12 +31,15 @@
     Every step produces bit-identical planes to a plain full-sweep packed
     simulator on the same forces and inputs. That simulator,
     [Packed_sim], lives in the test suite as the differential oracle;
-    the suite enforces the identity. *)
+    the suite enforces the identity, and checks the trace itself against
+    [Gate.eval] (every kind and arity up to 4, all ternary inputs) and
+    {!Bist_sim.Seq_sim} (every node at every step). *)
 
 type t
 
 val create : Bist_circuit.Netlist.t -> t
-(** Compile the levelized program. All lanes reset, no forces. *)
+(** Compile the levelized program and the fault-free sweep. All lanes
+    reset, no forces. *)
 
 val circuit : t -> Bist_circuit.Netlist.t
 

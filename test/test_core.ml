@@ -293,6 +293,45 @@ let test_better_ignores_time () =
   let b = Scheme.best_n ~seed:7 ~t0:s27_t0 s27_universe in
   Alcotest.(check int) "best_n repeats its n" a.Scheme.n b.Scheme.n
 
+(* The paper's guarantee, re-checked by a kernel [Scheme.execute] does
+   not run: on a fixed 128-vector random T0, the test-local Packed_sim
+   group loop must find that T0 detects exactly [detected_by_t0] faults
+   and that the kept expansions together detect every one of them.
+   [coverage_verified] comes from the production kernel itself, so it
+   cannot see a change to the fault-free machine both sides read. *)
+let test_scheme_guarantee_packed () =
+  List.iter
+    (fun (entry : Bist_bench.Registry.entry) ->
+      if not (List.mem entry.name [ "x5378"; "x35932" ]) then begin
+        let circuit = entry.circuit () in
+        let universe = Universe.collapsed circuit in
+        let rng = Bist_util.Rng.create 128 in
+        let t0 =
+          Tseq.random_binary rng ~width:(Bist_circuit.Netlist.num_inputs circuit)
+            ~length:128
+        in
+        let run = Scheme.execute ~seed:7 ~n:4 ~t0 universe in
+        let det = Testutil.packed_det_times universe t0 in
+        let f = List.filter (fun id -> det.(id) >= 0) (List.init (Array.length det) Fun.id) in
+        Alcotest.(check int) (entry.name ^ ": T0 detects |F|") (List.length f)
+          run.Scheme.detected_by_t0;
+        let missed =
+          List.fold_left
+            (fun remaining seq ->
+              let d =
+                Testutil.packed_det_times ~ids:(Array.of_list remaining) universe
+                  (Ops.expand ~n:4 seq)
+              in
+              List.filter (fun id -> d.(id) < 0) remaining)
+            f run.sequences
+        in
+        Alcotest.(check (list string))
+          (entry.name ^ ": expansions detect F")
+          []
+          (List.map (fun id -> Bist_fault.Fault.name circuit (Universe.get universe id)) missed)
+      end)
+    (Bist_bench.Registry.all ())
+
 let test_scheme_operator_ablation () =
   (* The scheme stays sound with restricted operator sets: whatever the
      pipeline, coverage of F must be preserved. *)
@@ -328,6 +367,8 @@ let suite =
       test_postprocess_drops_redundant;
     Alcotest.test_case "scheme on s27" `Quick test_scheme_s27;
     Alcotest.test_case "scheme deterministic" `Quick test_scheme_deterministic;
+    Alcotest.test_case "scheme guarantee re-checked by Packed_sim" `Quick
+      test_scheme_guarantee_packed;
     Alcotest.test_case "best n rule" `Quick test_best_n;
     Alcotest.test_case "best n ignores run time" `Quick test_better_ignores_time;
     Alcotest.test_case "operator ablation stays sound" `Quick

@@ -321,6 +321,42 @@ let test_obs_neutral () =
       (Ft.udet plain id) (Ft.udet traced id)
   done
 
+(* Work counters of x298 tgen on an explicit pool, then of
+   Scheme.execute at n = 4 on its T0. Shards hold whole 62-fault groups,
+   so every counter is the same at widths 1, 2 and 4 and on a repeat
+   run. Scheme.execute runs on the BIST_JOBS pool, so its counters are
+   also pinned: `dune runtest` checks them at width 1 and
+   `BIST_JOBS=2 dune runtest` at width 2. A change to the work these
+   layers do updates the numbers and says why. *)
+let x298_counters jobs =
+  let universe =
+    Bist_fault.Universe.collapsed
+      ((Option.get (Bist_bench.Registry.find "x298")).circuit ())
+  in
+  let counters obs = Metrics.counters (Option.get (Obs.metrics obs)) in
+  let obs = Obs.create () in
+  let pool = Pool.create ~jobs () in
+  let rng = Bist_util.Rng.create 7 in
+  let t0, _ = Bist_tgen.Engine.generate ~obs ~pool ~rng universe in
+  let t0, _ = Bist_tgen.Compaction.compact ~obs ~pool universe t0 in
+  Pool.shutdown pool;
+  let select = Obs.create () in
+  ignore (Bist_core.Scheme.execute ~obs:select ~seed:7 ~n:4 ~t0 universe : Bist_core.Scheme.run);
+  (counters obs, counters select)
+
+let test_work_counters () =
+  let base = x298_counters 1 in
+  Alcotest.(check (list (pair string int)))
+    "select x298 -n 4"
+    [ ("fsim.group_steps", 3742); ("fsim.groups", 64); ("fsim.trace_steps", 1923);
+      ("proc1.sequences", 6); ("proc2.simulations", 47); ("proc2.time_units", 4160) ]
+    (snd base);
+  List.iter
+    (fun (label, jobs) ->
+      Alcotest.(check (pair (list (pair string int)) (list (pair string int))))
+        label base (x298_counters jobs))
+    [ ("jobs=2", 2); ("jobs=4", 4); ("repeat", 1) ]
+
 (* Json_check itself: accepts RFC 8259 shapes, rejects near-JSON. *)
 
 let test_json_check () =
@@ -374,6 +410,8 @@ let suite =
       test_pipeline_trace;
     Alcotest.test_case "instrumentation leaves fault tables bit-identical"
       `Quick test_obs_neutral;
+    Alcotest.test_case "work counters repeat at every pool width" `Quick
+      test_work_counters;
     Alcotest.test_case "Json_check accepts JSON and rejects near-JSON" `Quick
       test_json_check;
   ]

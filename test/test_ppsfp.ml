@@ -5,9 +5,10 @@
    - {!Bist_fault.Fsim.run}, whose kernel is {!Bist_sim.Ppsfp} (shared
      fault-free trace, event-driven levelized evaluation, fault
      dropping);
-   - a full-sweep {!Packed_sim} loop over 62-fault groups, local to
-     this suite, that never drops a fault and always runs the whole
-     sequence ({!Packed_sim} is the test-local oracle kernel);
+   - a full-sweep {!Packed_sim} loop over 62-fault groups
+     ([Testutil.packed_det_times]), that never drops a fault and always
+     runs the whole sequence ({!Packed_sim} is the test-local oracle
+     kernel);
    - {!Bist_sim.Seq_sim} on a mutated netlist: each fault is compiled
      into the circuit structurally (stem stuck-at becomes a constant
      driver, a fanout-branch stuck-at rewires one consumer pin to a
@@ -19,7 +20,11 @@
    covers s27 and a band of small synthetics. The single-fault path
    ({!Bist_fault.Fsim.single}, whose trace buffer is reused across
    sequences) and the snapshot calls the directed search branches with
-   are checked against {!Packed_sim} too. *)
+   are checked against {!Packed_sim} too.
+
+   The fault-free trace every group pass reads is checked on its own:
+   its gate table exhaustively against {!Bist_circuit.Gate.eval}, and
+   every node at every step against {!Bist_sim.Seq_sim}. *)
 
 module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
@@ -44,45 +49,6 @@ let pool4 = Pool.create ~jobs:4 ()
 
 let det_times ?pool universe seq = (Fsim.run ?pool universe seq).Fsim.det_time
 
-let install sim fault ~lane =
-  let mask = 1 lsl lane in
-  match (fault : Fault.t) with
-  | { site = Fault.Output n; stuck } -> Packed_sim.add_output_force sim n ~mask stuck
-  | { site = Fault.Pin { gate; pin }; stuck } ->
-    Packed_sim.add_pin_force sim ~gate ~pin ~mask stuck
-
-(* The reference table: every fault of the universe, 62 per pass (lane 0
-   is the fault-free machine), each pass a full sweep of the circuit over
-   the whole sequence. *)
-let packed_det_times universe seq =
-  let faults_per_pass = 62 in
-  let k = Universe.size universe in
-  let det = Array.make k (-1) in
-  let sim = Packed_sim.create (Universe.circuit universe) in
-  let n_groups = (k + faults_per_pass - 1) / faults_per_pass in
-  for g = 0 to n_groups - 1 do
-    let base = g * faults_per_pass in
-    let group_size = min faults_per_pass (k - base) in
-    Packed_sim.clear_forces sim;
-    Packed_sim.reset sim;
-    for j = 0 to group_size - 1 do
-      install sim (Universe.get universe (base + j)) ~lane:(j + 1)
-    done;
-    (* [live] = lanes of not-yet-detected faults in this group. *)
-    let live = ref (((1 lsl group_size) - 1) lsl 1) in
-    for u = 0 to Tseq.length seq - 1 do
-      Packed_sim.step sim (Tseq.get seq u);
-      let newly = Packed_sim.po_diff_lanes sim land !live in
-      if newly <> 0 then begin
-        for j = 0 to group_size - 1 do
-          if newly land (1 lsl (j + 1)) <> 0 then det.(base + j) <- u
-        done;
-        live := !live land lnot newly
-      end
-    done
-  done;
-  det
-
 let seq_for circuit ~seed ~len =
   let rng = Rng.create seed in
   Tseq.random_binary rng ~width:(Netlist.num_inputs circuit) ~length:len
@@ -93,7 +59,7 @@ let test_synthetics_ppsfp_vs_packed () =
     let circuit = Testutil.small_circuit (17 * seed) in
     let universe = Universe.collapsed circuit in
     let seq = seq_for circuit ~seed:(seed + 1) ~len:(10 + (seed mod 25)) in
-    let reference = packed_det_times universe seq in
+    let reference = Testutil.packed_det_times universe seq in
     let label variant = Printf.sprintf "seed %d: %s == packed" seed variant in
     Alcotest.(check (array int))
       (label "ppsfp jobs=1")
@@ -116,7 +82,7 @@ let test_registry_ppsfp_vs_packed () =
       let circuit = entry.circuit () in
       let universe = Universe.collapsed circuit in
       let seq = seq_for circuit ~seed:23 ~len:24 in
-      let reference = packed_det_times universe seq in
+      let reference = Testutil.packed_det_times universe seq in
       Alcotest.(check (array int))
         (entry.name ^ ": ppsfp == packed")
         reference
@@ -144,7 +110,7 @@ let ppsfp_differential_property =
          let circuit = Testutil.small_circuit cseed in
          let universe = Universe.collapsed circuit in
          let seq = seq_for circuit ~seed:sseed ~len in
-         let reference = packed_det_times universe seq in
+         let reference = Testutil.packed_det_times universe seq in
          let pool =
            match (cseed + sseed + len) mod 3 with
            | 0 -> pool1
@@ -290,7 +256,7 @@ let test_drop_lanes_preserves_other_lanes () =
   let circuit = Bist_bench.S27.circuit () in
   let universe = Universe.collapsed circuit in
   let seq = seq_for circuit ~seed:12 ~len:24 in
-  let reference = packed_det_times universe seq in
+  let reference = Testutil.packed_det_times universe seq in
   (* The production path drops on detection; equality with the packed
      loop (which never drops) is exactly the preservation property,
      fault by fault. *)
@@ -316,6 +282,141 @@ let test_lane0_reserved_and_validation () =
     (Invalid_argument "Ppsfp.step: trace belongs to a different circuit")
     (fun () -> Ppsfp.step sim tr2 0)
 
+(* --- the fault-free sweep ---------------------------------------------- *)
+
+(* Every vector over [k] ternary inputs. *)
+let rec all_inputs k =
+  if k = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun rest -> List.map (fun v -> v :: rest) [ T.Zero; T.One; T.X ])
+      (all_inputs (k - 1))
+
+(* One gate of every combinational kind at every legal arity up to 4,
+   fed by its own primary inputs and driven through all 3^k ternary
+   vectors: the gate's trace value must be [Gate.eval] of the inputs at
+   every step. This covers every row of the kernel's table under every
+   fanin code a gate can present, and the folds of the three- and
+   four-input gates. A constant gets one primary input that feeds
+   nothing, so it has a sequence. *)
+let test_table_exhaustive () =
+  let mismatches = ref [] in
+  List.iter
+    (fun kind ->
+      for k = 0 to 4 do
+        if Gate.arity_ok kind k then begin
+          let b = Builder.create ~name:"gate" in
+          let width = max 1 k in
+          let ins = List.init width (Printf.sprintf "i%d") in
+          List.iter (Builder.add_input b) ins;
+          Builder.add_gate b ~output:"g" kind (List.filteri (fun i _ -> i < k) ins);
+          Builder.add_output b "g";
+          let circuit = Builder.finalize b in
+          let g = Netlist.find_exn circuit "g" in
+          let vectors = all_inputs width in
+          let seq =
+            Tseq.of_vectors
+              (Array.of_list
+                 (List.map (fun v -> Vector.init width (List.nth v)) vectors))
+          in
+          let sim = Ppsfp.create circuit in
+          let tr = Ppsfp.trace sim seq in
+          List.iteri
+            (fun u v ->
+              Ppsfp.step sim tr u;
+              let args = Array.of_list (List.filteri (fun i _ -> i < k) v) in
+              let want = Gate.eval kind args and got = Ppsfp.good_value tr u g in
+              if not (T.equal want got) then
+                mismatches :=
+                  Printf.sprintf "%s(%s) = %c, trace %c" (Gate.kind_name kind)
+                    (String.concat "," (List.map (fun x -> String.make 1 (T.to_char x))
+                       (Array.to_list args)))
+                    (T.to_char want) (T.to_char got)
+                  :: !mismatches)
+            vectors
+        end
+      done)
+    Gate.[ Buf; Not; And; Nand; Or; Nor; Xor; Xnor; Const0; Const1 ];
+  Alcotest.(check (list string)) "trace == Gate.eval" [] (List.rev !mismatches)
+
+(* Every node at every step of [seq]: the trace's fault-free value
+   against the scalar levelized simulator's, as "node@step" mismatches.
+   [tr] is restarted on [seq] first, so one trace can serve several
+   sequences. *)
+let sweep_mismatches sim tr seq =
+  let circuit = Ppsfp.circuit sim in
+  let scalar = Seq_sim.create circuit in
+  Ppsfp.retrace tr seq;
+  Ppsfp.reset sim;
+  let bad = ref [] in
+  Tseq.iteri
+    (fun u vec ->
+      ignore (Seq_sim.step scalar vec : Vector.t);
+      Ppsfp.step sim tr u;
+      for node = 0 to Netlist.size circuit - 1 do
+        if not (T.equal (Seq_sim.node_value scalar node) (Ppsfp.good_value tr u node))
+        then bad := Printf.sprintf "%s@%d" (Netlist.name circuit node) u :: !bad
+      done)
+    seq;
+  List.rev !bad
+
+let check_sweep circuit seq =
+  let sim = Ppsfp.create circuit in
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s: trace == Seq_sim on %d vectors"
+       (Netlist.circuit_name circuit) (Tseq.length seq))
+    []
+    (sweep_mismatches sim (Ppsfp.trace sim seq) seq)
+
+(* Every registry circuit up to x5378, whose 64 steps keep the test
+   quick. *)
+let test_sweep_registry () =
+  List.iter
+    (fun (entry : Bist_bench.Registry.entry) ->
+      if entry.name <> "x35932" then begin
+        let circuit = entry.circuit () in
+        let len = if entry.name = "x5378" then 64 else 128 in
+        check_sweep circuit (seq_for circuit ~seed:51 ~len)
+      end)
+    (Bist_bench.Registry.all ())
+
+let test_sweep_synthetics () =
+  for seed = 0 to 24 do
+    let circuit = Testutil.small_circuit (17 * seed) in
+    check_sweep circuit (seq_for circuit ~seed:(seed + 61) ~len:40)
+  done
+
+(* One trace restarted on a long, a short and a long sequence: a step
+   left over from the previous sequence shows as a mismatch. *)
+let test_sweep_retrace () =
+  let circuit = (Option.get (Bist_bench.Registry.find "x298")).circuit () in
+  let sim = Ppsfp.create circuit in
+  let tr = Ppsfp.trace sim (Tseq.empty (Netlist.num_inputs circuit)) in
+  List.iter
+    (fun (seed, len) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "retraced on %d vectors" len)
+        []
+        (sweep_mismatches sim tr (seq_for circuit ~seed ~len)))
+    [ (71, 300); (72, 5); (73, 300) ]
+
+(* Random circuits under sequences with X on the primary inputs. *)
+let sweep_x_property =
+  Testutil.qcheck
+    (QCheck.Test.make ~name:"trace == Seq_sim (random circuit, X inputs)"
+       ~count:60 Testutil.circuit_and_seq
+       (fun (cseed, sseed, len) ->
+         let circuit = Testutil.small_circuit cseed in
+         let rng = Rng.create sseed in
+         let seq =
+           Tseq.of_vectors
+             (Array.init len (fun _ ->
+                  Vector.init (Netlist.num_inputs circuit) (fun _ ->
+                      match Rng.int rng 3 with 0 -> T.Zero | 1 -> T.One | _ -> T.X)))
+         in
+         let sim = Ppsfp.create circuit in
+         sweep_mismatches sim (Ppsfp.trace sim seq) seq = []))
+
 (* --- the single-fault path and snapshots ------------------------------ *)
 
 (* The single-fault loop [Fsim.single] ran before it moved onto Ppsfp:
@@ -323,7 +424,7 @@ let test_lane0_reserved_and_validation () =
    full sweep per step, the first detection wins. *)
 let packed_single circuit fault =
   let sim = Packed_sim.create circuit in
-  install sim fault ~lane:1;
+  Testutil.packed_install sim fault ~lane:1;
   fun seq ->
     Packed_sim.reset sim;
     let len = Tseq.length seq in
@@ -471,6 +572,15 @@ let suite =
       test_drop_lanes_preserves_other_lanes;
     Alcotest.test_case "ppsfp argument validation" `Quick
       test_lane0_reserved_and_validation;
+    Alcotest.test_case "trace table == Gate.eval (every kind, arity <= 4)" `Quick
+      test_table_exhaustive;
+    Alcotest.test_case "trace == Seq_sim (registry through x5378)" `Quick
+      test_sweep_registry;
+    Alcotest.test_case "trace == Seq_sim (25 synthetics)" `Quick
+      test_sweep_synthetics;
+    Alcotest.test_case "trace == Seq_sim across retrace" `Quick
+      test_sweep_retrace;
+    sweep_x_property;
     Alcotest.test_case "single == packed (s27, x298, x1488 sample)" `Quick
       test_single_vs_packed;
     single_differential_property;

@@ -91,6 +91,54 @@ let packed_lane0_matches_seq_sim circuit seq =
     seq;
   !ok
 
+(* Force a stuck-at fault into one lane of the oracle kernel. *)
+let packed_install sim fault ~lane =
+  let mask = 1 lsl lane in
+  match (fault : Bist_fault.Fault.t) with
+  | { site = Bist_fault.Fault.Output n; stuck } ->
+    Packed_sim.add_output_force sim n ~mask stuck
+  | { site = Bist_fault.Fault.Pin { gate; pin }; stuck } ->
+    Packed_sim.add_pin_force sim ~gate ~pin ~mask stuck
+
+(* The reference fault table: first detection times of the [ids]
+   (default: every fault of the universe; -1 when undetected or not
+   listed), 62 faults per pass (lane 0 is the fault-free machine), each
+   pass a full sweep of the circuit over the whole sequence. It shares no
+   code with the library's kernel: no trace, no events, no dropping. *)
+let packed_det_times ?ids universe seq =
+  let faults_per_pass = 62 in
+  let ids =
+    match ids with
+    | Some ids -> ids
+    | None -> Array.init (Bist_fault.Universe.size universe) Fun.id
+  in
+  let k = Array.length ids in
+  let det = Array.make (Bist_fault.Universe.size universe) (-1) in
+  let sim = Packed_sim.create (Bist_fault.Universe.circuit universe) in
+  let n_groups = (k + faults_per_pass - 1) / faults_per_pass in
+  for g = 0 to n_groups - 1 do
+    let base = g * faults_per_pass in
+    let group_size = min faults_per_pass (k - base) in
+    Packed_sim.clear_forces sim;
+    Packed_sim.reset sim;
+    for j = 0 to group_size - 1 do
+      packed_install sim (Bist_fault.Universe.get universe ids.(base + j)) ~lane:(j + 1)
+    done;
+    (* [live] = lanes of not-yet-detected faults in this group. *)
+    let live = ref (((1 lsl group_size) - 1) lsl 1) in
+    for u = 0 to Tseq.length seq - 1 do
+      Packed_sim.step sim (Tseq.get seq u);
+      let newly = Packed_sim.po_diff_lanes sim land !live in
+      if newly <> 0 then begin
+        for j = 0 to group_size - 1 do
+          if newly land (1 lsl (j + 1)) <> 0 then det.(ids.(base + j)) <- u
+        done;
+        live := !live land lnot newly
+      end
+    done
+  done;
+  det
+
 (* Alcotest testables *)
 
 let tseq_testable =
