@@ -118,6 +118,17 @@ let run ?(strategy = Procedure2.paper_strategy) ?(operators = Ops.all_operators)
 
 let sequences result = List.map (fun s -> s.seq) result.selected
 
+(* Sequence i was simulated against F minus the faults the sequences
+   before it dropped, and detected exactly its own [newly_detected]. *)
+let known result =
+  let met = Bitset.copy result.t0_detected in
+  List.map
+    (fun s ->
+      let pair = (Bitset.copy met, s.newly_detected) in
+      Bitset.diff_into met s.newly_detected;
+      pair)
+    result.selected
+
 let total_length seqs = List.fold_left (fun acc s -> acc + Tseq.length s) 0 seqs
 
 let max_length seqs = List.fold_left (fun acc s -> max acc (Tseq.length s)) 0 seqs

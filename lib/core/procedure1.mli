@@ -58,5 +58,12 @@ val run :
 
 val sequences : result -> Bist_logic.Tseq.t list
 
+val known : result -> (Bist_util.Bitset.t * Bist_util.Bitset.t) list
+(** One [(met, det)] pair per selected sequence, in generation order:
+    [met] is the target set its expansion was simulated against ([F]
+    minus the [newly_detected] of the sequences before it) and [det] its
+    [newly_detected]. This is the [known] argument of {!Postprocess.run}
+    for the same [n] and operators. [det] is shared with [result]. *)
+
 val total_length : Bist_logic.Tseq.t list -> int
 val max_length : Bist_logic.Tseq.t list -> int

@@ -36,31 +36,38 @@ let timed f =
 
 (* Coverage check: the union of faults detected by the compacted
    expansions must include every fault T0 detects. *)
-let verify_coverage ~operators ~n universe targets seqs =
+let verify_coverage ?(obs = Bist_obs.Obs.null) ~operators ~n universe targets seqs =
   let remaining = Bitset.copy targets in
+  let time_units = ref 0 in
   List.iter
     (fun seq ->
       if not (Bitset.is_empty remaining) then begin
         let exp = Ops.expand_with ~operators ~n seq in
+        time_units := !time_units + Tseq.length exp;
         let outcome = Fsim.run ~targets:remaining universe exp in
         Bitset.diff_into remaining outcome.Fsim.detected
       end)
     seqs;
+  Bist_obs.Obs.count obs ~by:!time_units "verify.time_units";
   Bitset.is_empty remaining
+
+let simulate_t0 ?(obs = Bist_obs.Obs.null) universe t0 =
+  timed (fun () ->
+      Bist_obs.Obs.span obs ~cat:"scheme" "scheme.simulate_t0" (fun () ->
+          Bist_fault.Fault_table.compute ~obs universe t0))
 
 let execute ?(strategy = Procedure2.paper_strategy)
     ?(operators = Ops.all_operators) ?(passes = Postprocess.default_passes)
-    ?(fault_order = `Max_udet) ?(verify = true) ?(obs = Bist_obs.Obs.null)
+    ?(fault_order = `Max_udet) ?(verify = true) ?(obs = Bist_obs.Obs.null) ?table
     ~seed ~n ~t0 universe =
   let rng = Bist_util.Rng.create seed in
   let span name f = Bist_obs.Obs.span obs ~cat:"scheme" name f in
   let table, simulate_t0_seconds =
-    timed (fun () ->
-        span "scheme.simulate_t0" (fun () ->
-            Bist_fault.Fault_table.compute ~obs universe t0))
+    match table with Some table -> table | None -> simulate_t0 ~obs universe t0
   in
   (* Procedure 1 starts by fault-simulating T0; it reuses the table
-     timed above, and its reported time counts that simulation once. *)
+     timed above (and checks that it belongs to this universe and T0),
+     and its reported time counts that simulation once. *)
   let proc1, selection_seconds =
     timed (fun () ->
         span "scheme.proc1" (fun () ->
@@ -73,15 +80,15 @@ let execute ?(strategy = Procedure2.paper_strategy)
   let post, compaction_seconds =
     timed (fun () ->
         span "scheme.compaction" (fun () ->
-            Postprocess.run ~passes ~operators ~obs ~n ~targets universe
-              before_seqs))
+            Postprocess.run ~passes ~operators ~obs ~known:(Procedure1.known proc1)
+              ~n ~targets universe before_seqs))
   in
   let after_seqs = post.Postprocess.kept in
   let after = summary_of_sequences after_seqs in
   let coverage_verified =
     (not verify)
     || span "scheme.verify" (fun () ->
-           verify_coverage ~operators ~n universe targets after_seqs)
+           verify_coverage ~obs ~operators ~n universe targets after_seqs)
   in
   {
     circuit_name = Bist_circuit.Netlist.circuit_name (Universe.circuit universe);
@@ -109,10 +116,9 @@ let best_n ?(strategy = Procedure2.paper_strategy) ?(ns = [ 2; 4; 8; 16 ])
   match ns with
   | [] -> invalid_arg "Scheme.best_n: empty n list"
   | n0 :: rest ->
-    let first = execute ~strategy ~obs ~seed ~n:n0 ~t0 universe in
-    List.fold_left
-      (fun best n -> better best (execute ~strategy ~obs ~seed ~n ~t0 universe))
-      first rest
+    let table = simulate_t0 ~obs universe t0 in
+    let execute n = execute ~strategy ~obs ~table ~seed ~n ~t0 universe in
+    List.fold_left (fun best n -> better best (execute n)) (execute n0) rest
 
 let ratio_total run =
   float_of_int run.after.total_length /. float_of_int run.t0_length

@@ -35,19 +35,39 @@ val execute :
   ?fault_order:[ `Max_udet | `Min_udet | `Random ] ->
   ?verify:bool ->
   ?obs:Bist_obs.Obs.t ->
+  ?table:Bist_fault.Fault_table.t * float ->
   seed:int ->
   n:int ->
   t0:Bist_logic.Tseq.t ->
   Bist_fault.Universe.t ->
   run
-(** Run Procedure 1 then static compaction. [verify] (default [true])
-    re-simulates the final set to check coverage against [T0]. [obs]
-    wraps the driver phases in ["scheme.simulate_t0"], ["scheme.proc1"],
-    ["scheme.compaction"] and ["scheme.verify"] spans, with the
-    per-target, per-pass and per-shard spans of the callees nested
-    inside. *)
+(** Run Procedure 1 then static compaction. Compaction starts from what
+    Procedure 1 already simulated ({!Procedure1.known}). [verify]
+    (default [true]) re-simulates the final set to check coverage
+    against [T0]. [obs] wraps the driver phases in
+    ["scheme.simulate_t0"], ["scheme.proc1"], ["scheme.compaction"] and
+    ["scheme.verify"] spans, with the per-target, per-pass and per-shard
+    spans of the callees nested inside.
+
+    [table] (default: {!simulate_t0} here) is [T0]'s fault table with
+    the wall-clock seconds of its one simulation, for a caller that runs
+    several [n] on one [T0]; those seconds become
+    [simulate_t0_seconds], and the ["scheme.simulate_t0"] span is the
+    caller's. The result is otherwise the same as without it. Raises
+    [Invalid_argument] if the table was computed for another universe
+    or sequence. *)
+
+val simulate_t0 :
+  ?obs:Bist_obs.Obs.t ->
+  Bist_fault.Universe.t ->
+  Bist_logic.Tseq.t ->
+  Bist_fault.Fault_table.t * float
+(** Fault-simulate [T0] once, inside a ["scheme.simulate_t0"] span: its
+    fault table and the wall-clock seconds it took, the [table] argument
+    of {!execute}. *)
 
 val verify_coverage :
+  ?obs:Bist_obs.Obs.t ->
   operators:Ops.operator list ->
   n:int ->
   Bist_fault.Universe.t ->
@@ -55,7 +75,10 @@ val verify_coverage :
   Bist_logic.Tseq.t list ->
   bool
 (** [verify_coverage ~operators ~n universe targets seqs]: whether the
-    expansions of [seqs] together detect every fault of [targets]. *)
+    expansions of [seqs] together detect every fault of [targets]. It
+    simulates the expansions in order until every target is detected,
+    and adds the summed length of those it simulated to [obs]'s
+    ["verify.time_units"] counter. *)
 
 val better : run -> run -> run
 (** The best-[n] rule: smaller maximum stored length, then smaller total
@@ -73,7 +96,8 @@ val best_n :
   Bist_fault.Universe.t ->
   run
 (** Run {!execute} for every [n] in [ns] (default [\[2; 4; 8; 16\]], the
-    paper's sweep) and keep the best. *)
+    paper's sweep) and keep the best. [T0] is fault-simulated once, and
+    every run reports that simulation's time as [simulate_t0_seconds]. *)
 
 val summary_of_sequences : Bist_logic.Tseq.t list -> summary
 

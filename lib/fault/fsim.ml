@@ -29,8 +29,8 @@ let install sim fault ~lane =
    the same times. A detected fault's lane is dropped on the spot (its
    time is fixed, and lanes are independent bitwise, so the remaining
    lanes are unaffected), and a group ends as soon as all its lanes have
-   been detected. Returns the times, the group-steps simulated and the
-   fault-free steps the trace materialised. *)
+   been detected. Returns the times, the group-steps simulated, the
+   fault-free steps the trace materialised and the gate evaluations. *)
 let run_ids ?ctl universe seq ids =
   let circuit = Universe.circuit universe in
   let k = Array.length ids in
@@ -67,7 +67,7 @@ let run_ids ?ctl universe seq ids =
     done;
     group_steps := !group_steps + !u
   done;
-  (det_local, !group_steps, Ppsfp.trace_length tr)
+  (det_local, !group_steps, Ppsfp.trace_length tr, Ppsfp.evaluations sim)
 
 (* Whole groups are the unit of sharding: [min jobs groups] contiguous
    shards, balanced within one group, so every pool width simulates
@@ -96,7 +96,7 @@ let run ?(obs = Obs.null) ?pool ?ctl ?targets ?stop_when_all_detected:_
      simulates the same groups, so the group counters, added once per
      shard, do not depend on the pool. *)
   let piece ids =
-    let det_time, group_steps, trace_steps =
+    let det_time, group_steps, trace_steps, evaluations =
       Obs.span obs ~cat:"fsim" "fsim.shard"
         ~args:(fun () ->
           [ ("faults", string_of_int (Array.length ids));
@@ -105,6 +105,7 @@ let run ?(obs = Obs.null) ?pool ?ctl ?targets ?stop_when_all_detected:_
     in
     Obs.count obs ~by:((Array.length ids + faults_per_pass - 1) / faults_per_pass) "fsim.groups";
     Obs.count obs ~by:group_steps "fsim.group_steps";
+    Obs.count obs ~by:evaluations "fsim.evaluations";
     ({ Shard.ids; det_time }, trace_steps)
   in
   let pieces =

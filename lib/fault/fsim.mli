@@ -48,13 +48,14 @@ val run :
 
     [obs] (default {!Bist_obs.Obs.null}, a no-op) records one
     ["fsim.shard"] span per shard, tagged with the executing domain's id
-    and the shard's fault count. It adds the run's work to three
+    and the shard's fault count. It adds the run's work to four
     counters: ["fsim.groups"] (62-fault groups), ["fsim.group_steps"]
-    (time steps simulated, summed over groups) and ["fsim.trace_steps"]
-    (the fault-free steps a sequential run materialises, as many as its
-    longest group simulates; each shard of a pooled run sweeps its own
-    trace, which this count does not add up). All three are the same at
-    every pool width.
+    (time steps simulated, summed over groups), ["fsim.evaluations"]
+    (the faulty machines' gate evaluations, {!Bist_sim.Ppsfp.evaluations}
+    summed over shards) and ["fsim.trace_steps"] (the fault-free steps a
+    sequential run materialises, as many as its longest group simulates;
+    each shard of a pooled run sweeps its own trace, which this count
+    does not add up). All four are the same at every pool width.
 
     [ctl] (default: none) is polled between 62-fault groups inside every
     shard — including on worker domains — and raises

@@ -56,9 +56,9 @@ let run ?(seed = 5) ~n ~t0 universe =
           ~fault_order:v.fault_order ~rng ~n ~t0 universe
       in
       let post =
-        Postprocess.run ~passes:v.passes ~operators:v.operators ~n
-          ~targets:r.Procedure1.t0_detected universe
-          (Procedure1.sequences r)
+        Postprocess.run ~passes:v.passes ~operators:v.operators
+          ~known:(Procedure1.known r) ~n ~targets:r.Procedure1.t0_detected
+          universe (Procedure1.sequences r)
       in
       let kept = post.Postprocess.kept in
       {

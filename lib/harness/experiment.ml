@@ -53,11 +53,12 @@ let run_circuit ?(seed = 2026) ?budget (entry : Bist_bench.Registry.entry) =
     Bist_tgen.Compaction.compact ~max_trials:budget.compaction_trials universe
       t0_raw
   in
+  let table = Bist_core.Scheme.simulate_t0 universe t0 in
   let runs =
     List.map
       (fun n ->
-        Bist_core.Scheme.execute ~strategy:budget.strategy ~seed:(seed + n) ~n
-          ~t0 universe)
+        Bist_core.Scheme.execute ~strategy:budget.strategy ~table ~seed:(seed + n)
+          ~n ~t0 universe)
       budget.ns
   in
   let best =

@@ -244,6 +244,135 @@ let test_postprocess_drops_redundant () =
   Alcotest.(check bool) "duplicates dropped" true
     (List.length post.Postprocess.kept <= List.length seqs)
 
+(* The memo against the memo-free loop it replaced (Postprocess_oracle):
+   on the fixed 128-vector random T0 of the Packed_sim guarantee test,
+   Procedure 1's output at n = 2 under every single pass and the default
+   four, and at n = 8 under the default four (single passes there too
+   would add about 1.5 s), each with Procedure 1's seed; the default
+   four also without it. (Without a seed, a single pass meets every
+   pair for the first time, so it simulates exactly what the oracle
+   does.) *)
+let random_t0 circuit =
+  Tseq.random_binary (Bist_util.Rng.create 128)
+    ~width:(Bist_circuit.Netlist.num_inputs circuit) ~length:128
+
+(* kept and dropped must equal the oracle's, and the memo can only
+   simulate less: with [known], less than without it when [unseeded]
+   runs too, else less than the oracle. *)
+let check_against_oracle what ~unseeded ~passes ~n ~targets ~known universe seqs =
+  let want = Postprocess_oracle.run ~passes ~n ~targets universe seqs in
+  let strings l = List.map (fun s -> String.concat "," (Tseq.to_strings s)) l in
+  let check what ?known bound =
+    let got = Postprocess.run ~passes ?known ~n ~targets universe seqs in
+    Alcotest.(check (list string)) (what ^ ": kept") (strings want.Postprocess.kept)
+      (strings got.Postprocess.kept);
+    Alcotest.(check int) (what ^ ": dropped") want.dropped got.dropped;
+    if got.simulated_time_units > bound then
+      Alcotest.failf "%s: %d time units, more than %d" what got.simulated_time_units bound;
+    got.simulated_time_units
+  in
+  let bound =
+    if unseeded then check what want.simulated_time_units else want.simulated_time_units
+  in
+  ignore (check (what ^ " seeded") ~known bound : int)
+
+let test_postprocess_memo_oracle () =
+  List.iter
+    (fun (entry : Bist_bench.Registry.entry) ->
+      if not (List.mem entry.name [ "x5378"; "x35932" ]) then begin
+        let circuit = entry.circuit () in
+        let universe = Universe.collapsed circuit in
+        let t0 = random_t0 circuit in
+        List.iter
+          (fun n ->
+            let r =
+              Procedure1.run ~strategy:Procedure2.fast_strategy
+                ~rng:(Bist_util.Rng.create 7) ~n ~t0 universe
+            in
+            let seqs = Procedure1.sequences r and targets = r.Procedure1.t0_detected in
+            List.iter
+              (fun passes ->
+                let what =
+                  Printf.sprintf "%s n=%d %s" entry.name n
+                    (String.concat "+" (List.map Postprocess.pass_name passes))
+                in
+                check_against_oracle what ~unseeded:(List.length passes > 1) ~passes ~n
+                  ~targets ~known:(Procedure1.known r) universe seqs)
+              (if n = 2 then
+                 List.map (fun p -> [ p ]) Postprocess.default_passes
+                 @ [ Postprocess.default_passes ]
+               else [ Postprocess.default_passes ]))
+          [ 2; 8 ]
+      end)
+    (Bist_bench.Registry.all ())
+
+(* Any (met, det) pairs that simulation produced, over sequence lists
+   with duplicates and any pass list, give the oracle's result. *)
+let test_postprocess_memo_random =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 0 500) (int_range 0 1_000_000) (int_range 1 3))
+  in
+  Testutil.qcheck
+    (QCheck.Test.make ~name:"postprocess memo = oracle (random circuits, duplicates)"
+       ~count:40
+       (QCheck.make
+          ~print:(fun (c, s, n) -> Printf.sprintf "circuit %d, seed %d, n %d" c s n)
+          gen)
+       (fun (cseed, seed, n) ->
+         let circuit = Testutil.small_circuit cseed in
+         let universe = Universe.collapsed circuit in
+         let size = Universe.size universe in
+         let rng = Bist_util.Rng.create seed in
+         let width = Bist_circuit.Netlist.num_inputs circuit in
+         let distinct =
+           Array.init (1 + Bist_util.Rng.int rng 4) (fun _ ->
+               Tseq.random_binary rng ~width ~length:(1 + Bist_util.Rng.int rng 5))
+         in
+         let seqs =
+           List.init (2 + Bist_util.Rng.int rng 6) (fun _ -> Bist_util.Rng.choose rng distinct)
+         in
+         let subset () =
+           let s = Bitset.create size in
+           for id = 0 to size - 1 do
+             if Bist_util.Rng.int rng 3 > 0 then Bitset.add s id
+           done;
+           s
+         in
+         let targets = subset () in
+         let known =
+           List.map
+             (fun seq ->
+               let met = subset () in
+               let exp = Ops.expand ~n seq in
+               (met, (Fsim.run ~targets:met universe exp).Fsim.detected))
+             seqs
+         in
+         let passes =
+           List.init (Bist_util.Rng.int rng 6) (fun _ ->
+               Bist_util.Rng.choose rng (Array.of_list Postprocess.default_passes))
+         in
+         check_against_oracle "random" ~unseeded:true ~passes ~n ~targets ~known universe
+           seqs;
+         true))
+
+let test_postprocess_known_invalid () =
+  let r = Procedure1.run ~rng:(Bist_util.Rng.create 7) ~n:2 ~t0:s27_t0 s27_universe in
+  let seqs = Procedure1.sequences r and targets = r.Procedure1.t0_detected in
+  let known = Procedure1.known r in
+  let size = Universe.size s27_universe in
+  let raises label msg known =
+    Alcotest.check_raises label (Invalid_argument msg) (fun () ->
+        ignore (Postprocess.run ~known ~n:2 ~targets s27_universe seqs))
+  in
+  raises "one pair short" "Postprocess.run: known has another length than the sequences"
+    (List.tl known);
+  let first_met met = List.mapi (fun i (m, det) -> ((if i = 0 then met else m), det)) known in
+  raises "wrong capacity" "Postprocess.run: known set over another universe"
+    (first_met (Bitset.create (size + 1)));
+  raises "det outside met" "Postprocess.run: known detections outside their met set"
+    (first_met (Bitset.create size))
+
 (* Scheme end to end. *)
 let test_scheme_s27 () =
   let run = Scheme.execute ~seed:7 ~n:2 ~t0:s27_t0 s27_universe in
@@ -273,6 +402,37 @@ let test_best_n () =
   let min_max = min r2.Scheme.after.max_length r4.Scheme.after.max_length in
   Alcotest.(check int) "best has minimal max length" min_max
     best.Scheme.after.max_length
+
+(* best_n simulates T0 once and hands the table to every n: it must pick
+   the run that folding Scheme.better over separate executes picks, and
+   execute refuses a table of another T0 or universe. *)
+let test_best_n_one_t0 () =
+  let same what universe t0 =
+    let best = Scheme.best_n ~seed:7 ~t0 universe in
+    let folded =
+      match List.map (fun n -> Scheme.execute ~seed:7 ~n ~t0 universe) [ 2; 4; 8; 16 ] with
+      | first :: rest -> List.fold_left Scheme.better first rest
+      | [] -> assert false
+    in
+    let strings (r : Scheme.run) =
+      List.map (fun s -> String.concat "," (Tseq.to_strings s)) r.sequences
+    in
+    Alcotest.(check int) (what ^ ": n") folded.Scheme.n best.Scheme.n;
+    Alcotest.(check bool) (what ^ ": summaries") true
+      (folded.before = best.before && folded.after = best.after);
+    Alcotest.(check (list string)) (what ^ ": sequences") (strings folded) (strings best)
+  in
+  same "s27" s27_universe s27_t0;
+  let x298 = (Option.get (Bist_bench.Registry.find "x298")).circuit () in
+  same "x298" (Universe.collapsed x298) (random_t0 x298);
+  let refused what table =
+    Alcotest.check_raises what
+      (Invalid_argument "Procedure1.run: table was computed for another universe or T0")
+      (fun () -> ignore (Scheme.execute ~table ~seed:7 ~n:2 ~t0:s27_t0 s27_universe))
+  in
+  refused "table of another T0"
+    (Scheme.simulate_t0 s27_universe (Tseq.sub s27_t0 ~lo:0 ~hi:4));
+  refused "table of another universe" (Scheme.simulate_t0 (Universe.collapsed s27) s27_t0)
 
 let test_better_ignores_time () =
   let r2 = Scheme.execute ~seed:7 ~n:2 ~t0:s27_t0 s27_universe in
@@ -365,12 +525,18 @@ let suite =
     Alcotest.test_case "postprocess single passes" `Quick test_postprocess_single_passes;
     Alcotest.test_case "postprocess drops duplicates" `Quick
       test_postprocess_drops_redundant;
+    Alcotest.test_case "postprocess memo = oracle (registry)" `Quick
+      test_postprocess_memo_oracle;
+    test_postprocess_memo_random;
+    Alcotest.test_case "postprocess known rejected" `Quick
+      test_postprocess_known_invalid;
     Alcotest.test_case "scheme on s27" `Quick test_scheme_s27;
     Alcotest.test_case "scheme deterministic" `Quick test_scheme_deterministic;
     Alcotest.test_case "scheme guarantee re-checked by Packed_sim" `Quick
       test_scheme_guarantee_packed;
     Alcotest.test_case "best n rule" `Quick test_best_n;
     Alcotest.test_case "best n ignores run time" `Quick test_better_ignores_time;
+    Alcotest.test_case "best n simulates T0 once" `Quick test_best_n_one_t0;
     Alcotest.test_case "operator ablation stays sound" `Quick
       test_scheme_operator_ablation;
   ]

@@ -348,8 +348,10 @@ let test_work_counters () =
   let base = x298_counters 1 in
   Alcotest.(check (list (pair string int)))
     "select x298 -n 4"
-    [ ("fsim.group_steps", 3742); ("fsim.groups", 64); ("fsim.trace_steps", 1923);
-      ("proc1.sequences", 6); ("proc2.simulations", 47); ("proc2.time_units", 4160) ]
+    [ ("fsim.evaluations", 85932); ("fsim.group_steps", 2296); ("fsim.groups", 43);
+      ("fsim.trace_steps", 1092); ("postprocess.time_units", 1568);
+      ("proc1.sequences", 6); ("proc2.simulations", 47); ("proc2.time_units", 4160);
+      ("verify.time_units", 416) ]
     (snd base);
   List.iter
     (fun (label, jobs) ->
