@@ -80,22 +80,6 @@ let eval kind inputs =
   | Xor -> fold_binop T.xor T.Zero inputs
   | Xnor -> T.not_ (fold_binop T.xor T.Zero inputs)
 
-let eval_packed kind inputs =
-  check kind inputs;
-  let module P = Bist_logic.Packed in
-  match kind with
-  | Input | Dff -> invalid_arg "Gate.eval_packed: not combinational"
-  | Const0 -> P.all Bist_logic.Ternary.Zero
-  | Const1 -> P.all Bist_logic.Ternary.One
-  | Buf -> inputs.(0)
-  | Not -> P.not_ inputs.(0)
-  | And -> fold_binop P.and_ (P.all Bist_logic.Ternary.One) inputs
-  | Nand -> P.not_ (fold_binop P.and_ (P.all Bist_logic.Ternary.One) inputs)
-  | Or -> fold_binop P.or_ (P.all Bist_logic.Ternary.Zero) inputs
-  | Nor -> P.not_ (fold_binop P.or_ (P.all Bist_logic.Ternary.Zero) inputs)
-  | Xor -> fold_binop P.xor (P.all Bist_logic.Ternary.Zero) inputs
-  | Xnor -> P.not_ (fold_binop P.xor (P.all Bist_logic.Ternary.Zero) inputs)
-
 let controlling_value = function
   | And | Nand -> Some Bist_logic.Ternary.Zero
   | Or | Nor -> Some Bist_logic.Ternary.One

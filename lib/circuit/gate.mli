@@ -35,9 +35,6 @@ val eval : kind -> Bist_logic.Ternary.t array -> Bist_logic.Ternary.t
 (** Combinational evaluation over scalar ternary values. Raises
     [Invalid_argument] for [Input]/[Dff] or an arity violation. *)
 
-val eval_packed : kind -> Bist_logic.Packed.t array -> Bist_logic.Packed.t
-(** Same, over 64-lane packed words. *)
-
 val controlling_value : kind -> Bist_logic.Ternary.t option
 (** The input value that forces the output regardless of other inputs
     (0 for AND/NAND, 1 for OR/NOR); [None] for the other kinds. *)

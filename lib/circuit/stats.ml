@@ -9,18 +9,20 @@ type t = {
   max_fanout : int;
 }
 
+(* Plain loops: every [Ppsfp.create] calls this, and a closure over
+   [best] would allocate a ref per node. Sources are not in the
+   topological order, so their level stays 0. *)
 let levels c =
   let lv = Array.make (Netlist.size c) 0 in
-  Array.iter
-    (fun n ->
-      let best = ref 0 in
-      Array.iter
-        (fun u ->
-          let l = if Gate.is_combinational (Netlist.kind c u) then lv.(u) else 0 in
-          if l > !best then best := l)
-        (Netlist.fanins c n);
-      lv.(n) <- !best + 1)
-    (Netlist.topo_order c);
+  let topo = Netlist.topo_order c in
+  for i = 0 to Array.length topo - 1 do
+    let fanins = Netlist.fanins c topo.(i) in
+    let best = ref 0 in
+    for j = 0 to Array.length fanins - 1 do
+      if lv.(fanins.(j)) > !best then best := lv.(fanins.(j))
+    done;
+    lv.(topo.(i)) <- !best + 1
+  done;
   lv
 
 let of_netlist c =

@@ -30,7 +30,8 @@ let install sim fault ~lane =
    time is fixed, and lanes are independent bitwise, so the remaining
    lanes are unaffected), and a group ends as soon as all its lanes have
    been detected. Returns the times, the group-steps simulated, the
-   fault-free steps the trace materialised and the gate evaluations. *)
+   fault-free steps the trace materialised and the simulator, whose
+   counters hold the rest of the shard's work. *)
 let run_ids ?ctl universe seq ids =
   let circuit = Universe.circuit universe in
   let k = Array.length ids in
@@ -67,7 +68,7 @@ let run_ids ?ctl universe seq ids =
     done;
     group_steps := !group_steps + !u
   done;
-  (det_local, !group_steps, Ppsfp.trace_length tr, Ppsfp.evaluations sim)
+  (det_local, !group_steps, Ppsfp.trace_length tr, sim)
 
 (* Whole groups are the unit of sharding: [min jobs groups] contiguous
    shards, balanced within one group, so every pool width simulates
@@ -96,7 +97,7 @@ let run ?(obs = Obs.null) ?pool ?ctl ?targets ?stop_when_all_detected:_
      simulates the same groups, so the group counters, added once per
      shard, do not depend on the pool. *)
   let piece ids =
-    let det_time, group_steps, trace_steps, evaluations =
+    let det_time, group_steps, trace_steps, sim =
       Obs.span obs ~cat:"fsim" "fsim.shard"
         ~args:(fun () ->
           [ ("faults", string_of_int (Array.length ids));
@@ -105,7 +106,9 @@ let run ?(obs = Obs.null) ?pool ?ctl ?targets ?stop_when_all_detected:_
     in
     Obs.count obs ~by:((Array.length ids + faults_per_pass - 1) / faults_per_pass) "fsim.groups";
     Obs.count obs ~by:group_steps "fsim.group_steps";
-    Obs.count obs ~by:evaluations "fsim.evaluations";
+    Obs.count obs ~by:(Ppsfp.evaluations sim) "fsim.evaluations";
+    Obs.count obs ~by:(Ppsfp.full_steps sim) "fsim.full_steps";
+    Obs.count obs ~by:(Ppsfp.event_steps sim) "fsim.event_steps";
     ({ Shard.ids; det_time }, trace_steps)
   in
   let pieces =

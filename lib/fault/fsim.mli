@@ -48,14 +48,19 @@ val run :
 
     [obs] (default {!Bist_obs.Obs.null}, a no-op) records one
     ["fsim.shard"] span per shard, tagged with the executing domain's id
-    and the shard's fault count. It adds the run's work to four
+    and the shard's fault count. It adds the run's work to six
     counters: ["fsim.groups"] (62-fault groups), ["fsim.group_steps"]
     (time steps simulated, summed over groups), ["fsim.evaluations"]
     (the faulty machines' gate evaluations, {!Bist_sim.Ppsfp.evaluations}
-    summed over shards) and ["fsim.trace_steps"] (the fault-free steps a
-    sequential run materialises, as many as its longest group simulates;
-    each shard of a pooled run sweeps its own trace, which this count
-    does not add up). All four are the same at every pool width.
+    summed over shards), ["fsim.full_steps"] and ["fsim.event_steps"]
+    (the group-steps run as a full sweep and as an event sweep,
+    {!Bist_sim.Ppsfp.full_steps} and {!Bist_sim.Ppsfp.event_steps}
+    summed over shards) and ["fsim.trace_steps"] (the fault-free steps
+    a sequential run materialises, as many as its longest group
+    simulates; each shard of a pooled run sweeps its own trace, which
+    this count does not add up). All six are the same at every pool
+    width: the sweep mode is chosen per group, from that group's own
+    activity.
 
     [ctl] (default: none) is polled between 62-fault groups inside every
     shard — including on worker domains — and raises

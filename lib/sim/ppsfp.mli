@@ -19,8 +19,16 @@
       more fanins fold over extra entries);
     - gates are evaluated {e event-driven} over a levelized flat-array
       program: a gate runs only when a fanin's packed word actually
-      differs from the fault-free broadcast, so quiescent levels cost
-      nothing;
+      differs from the fault-free broadcast, or when one of its forces
+      disagrees with the fault-free value it overrides (X disagrees with
+      both stuck values), so quiescent levels and unactivated faults
+      cost nothing;
+    - only the flip-flops whose state deviates from the good machine
+      keep packed state; a step seeds those and the output-forced
+      sources, and clocks only the flip-flops whose D input deviates or
+      whose D-pin force is activated. Every other flip-flop is the
+      broadcast of its good value, read from the trace, and is written
+      out only by {!save_state};
     - when measured activity says most of the circuit is live anyway, the
       step switches to a {e compiled} full sweep and back once activity
       decays — the hybrid is self-tuning per group;
@@ -28,18 +36,26 @@
       are masked out and their flip-flop lanes snap back to the good
       machine, so a detected fault stops generating events.
 
+    Internally the kernel renumbers the nodes (inputs, flip-flops, then
+    gates by level) and keeps each node's hot data in one interleaved
+    record. Those ids are private: every call below takes netlist ids
+    and pin indices into {!Bist_circuit.Netlist.fanins}.
+
     Every step produces bit-identical planes to a plain full-sweep packed
     simulator on the same forces and inputs. That simulator,
     [Packed_sim], lives in the test suite as the differential oracle;
-    the suite enforces the identity, and checks the trace itself against
-    [Gate.eval] (every kind and arity up to 4, all ternary inputs) and
-    {!Bist_sim.Seq_sim} (every node at every step). *)
+    the suite enforces the identity (with forces on flip-flops and on
+    gates whose good value is X, lanes dropped mid-run and runs moved
+    into a fresh simulator through a snapshot), and checks the trace
+    itself against [Gate.eval] (every kind and arity up to 4, all
+    ternary inputs) and {!Bist_sim.Seq_sim} (every node at every
+    step). *)
 
 type t
 
 val create : Bist_circuit.Netlist.t -> t
-(** Compile the levelized program and the fault-free sweep. All lanes
-    reset, no forces. *)
+(** Compile the node record, the levelized program and the fault-free
+    sweep, with no per-node allocation. All lanes reset, no forces. *)
 
 val circuit : t -> Bist_circuit.Netlist.t
 

@@ -1,3 +1,6 @@
+module Ternary = Bist_logic.Ternary
+module Gate = Bist_circuit.Gate
+
 let lanes = 63
 
 type t = { ones : int; zeros : int }
@@ -67,3 +70,20 @@ let pp fmt w =
   for i = 0 to lanes - 1 do
     Format.pp_print_char fmt (Ternary.to_char (get w i))
   done
+
+let eval_gate kind inputs =
+  if not (Gate.arity_ok kind (Array.length inputs)) then
+    invalid_arg "Packed.eval_gate: arity";
+  let fold op seed = Array.fold_left op seed inputs in
+  match kind with
+  | Gate.Input | Gate.Dff -> invalid_arg "Packed.eval_gate: not combinational"
+  | Gate.Const0 -> all Ternary.Zero
+  | Gate.Const1 -> all Ternary.One
+  | Gate.Buf -> inputs.(0)
+  | Gate.Not -> not_ inputs.(0)
+  | Gate.And -> fold and_ (all Ternary.One)
+  | Gate.Nand -> not_ (fold and_ (all Ternary.One))
+  | Gate.Or -> fold or_ (all Ternary.Zero)
+  | Gate.Nor -> not_ (fold or_ (all Ternary.Zero))
+  | Gate.Xor -> fold xor (all Ternary.Zero)
+  | Gate.Xnor -> not_ (fold xor (all Ternary.Zero))

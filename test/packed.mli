@@ -8,9 +8,11 @@
     on a 64-bit platform) are used instead of [int64] because they are
     unboxed — this kernel dominates fault-simulation time.
 
-    The parallel fault simulator runs the fault-free machine in lane 0 and
-    up to 62 faulty machines in the remaining lanes, evaluating every gate
-    for all machines with a constant number of word operations. *)
+    The test suite's oracle kernel, [Packed_sim], runs the fault-free
+    machine in lane 0 and up to 62 faulty machines in the remaining
+    lanes and reports its values in these words; {!eval_gate} evaluates
+    one gate for all lanes with a constant number of word operations.
+    The library's kernel, [Bist_sim.Ppsfp], works on bare planes. *)
 
 val lanes : int
 (** 63. *)
@@ -20,16 +22,16 @@ type t = private { ones : int; zeros : int }
 val all_x : t
 (** Every lane X. *)
 
-val all : Ternary.t -> t
+val all : Bist_logic.Ternary.t -> t
 (** Every lane the given value. *)
 
 val make : ones:int -> zeros:int -> t
 (** Raises [Invalid_argument] if [ones land zeros <> 0]. *)
 
-val get : t -> int -> Ternary.t
+val get : t -> int -> Bist_logic.Ternary.t
 (** Value of lane [i], [0 <= i < lanes]. *)
 
-val set : t -> int -> Ternary.t -> t
+val set : t -> int -> Bist_logic.Ternary.t -> t
 (** Functional update of lane [i]. *)
 
 val equal : t -> t -> bool
@@ -42,7 +44,7 @@ val nor : t -> t -> t
 val xor : t -> t -> t
 val xnor : t -> t -> t
 
-val force : t -> mask:int -> Ternary.t -> t
+val force : t -> mask:int -> Bist_logic.Ternary.t -> t
 (** [force w ~mask v] replaces the lanes selected by [mask] with [v] —
     the fault-insertion primitive. *)
 
@@ -55,3 +57,7 @@ val binary_mask : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Lanes [0..lanes-1], lane 0 first. *)
+
+val eval_gate : Bist_circuit.Gate.kind -> t array -> t
+(** {!Bist_circuit.Gate.eval} lane by lane. Raises [Invalid_argument]
+    for [Input]/[Dff] or an arity violation. *)

@@ -1,5 +1,5 @@
 module T = Bist_logic.Ternary
-module P = Bist_logic.Packed
+module P = Packed
 module Netlist = Bist_circuit.Netlist
 module Gate = Bist_circuit.Gate
 

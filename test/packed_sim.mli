@@ -44,7 +44,7 @@ val reset : t -> unit
 val step : t -> Bist_logic.Vector.t -> unit
 (** Apply one input vector to all lanes and advance the flip-flop state. *)
 
-val po_value : t -> int -> Bist_logic.Packed.t
+val po_value : t -> int -> Packed.t
 (** Packed value of primary output [i] during the most recent {!step}. *)
 
 val po_diff_lanes : t -> int
@@ -52,7 +52,7 @@ val po_diff_lanes : t -> int
     binary complement of lane 0's binary value during the most recent
     {!step} — the detection mask, accumulated over all POs. *)
 
-val node_value : t -> Bist_circuit.Netlist.node -> Bist_logic.Packed.t
+val node_value : t -> Bist_circuit.Netlist.node -> Packed.t
 (** Value a node had during the most recent {!step}. *)
 
 type snapshot

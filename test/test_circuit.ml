@@ -24,7 +24,7 @@ let test_gate_arity () =
   Alcotest.(check bool) "and takes 4" true (Gate.arity_ok Gate.And 4);
   Alcotest.(check bool) "dff takes 1" true (Gate.arity_ok Gate.Dff 1)
 
-(* eval and eval_packed must agree on every lane. *)
+(* Gate.eval and the packed evaluation must agree on every lane. *)
 let test_gate_eval_consistency =
   let kinds = [ Gate.Buf; Gate.Not; Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor ] in
   let gen =
@@ -35,7 +35,7 @@ let test_gate_eval_consistency =
       return (kind, inputs))
   in
   Testutil.qcheck
-    (QCheck.Test.make ~name:"Gate.eval_packed agrees with Gate.eval" ~count:300
+    (QCheck.Test.make ~name:"Packed.eval_gate agrees with Gate.eval" ~count:300
        (QCheck.make gen)
        (fun (kind, inputs) ->
          let packed =
@@ -43,18 +43,18 @@ let test_gate_eval_consistency =
              (List.map
                 (fun lanes ->
                   List.fold_left
-                    (fun (w, i) v -> (Bist_logic.Packed.set w i v, i + 1))
-                    (Bist_logic.Packed.all_x, 0) lanes
+                    (fun (w, i) v -> (Packed.set w i v, i + 1))
+                    (Packed.all_x, 0) lanes
                   |> fst)
                 inputs)
          in
-         let word = Gate.eval_packed kind packed in
+         let word = Packed.eval_gate kind packed in
          List.for_all
            (fun lane ->
              let scalar =
                Gate.eval kind (Array.of_list (List.map (fun l -> List.nth l lane) inputs))
              in
-             T.equal scalar (Bist_logic.Packed.get word lane))
+             T.equal scalar (Packed.get word lane))
            (List.init 8 Fun.id)))
 
 let test_gate_names () =

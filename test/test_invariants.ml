@@ -94,16 +94,16 @@ let test_snapshot_restore () =
   Packed_sim.step sim (v "01");
   let snap = Packed_sim.save_state sim in
   Packed_sim.step sim (v "01");
-  let after_a = Bist_logic.Packed.get (Packed_sim.po_value sim 0) 0 in
+  let after_a = Packed.get (Packed_sim.po_value sim 0) 0 in
   Packed_sim.restore_state sim snap;
   Packed_sim.step sim (v "01");
-  let after_a' = Bist_logic.Packed.get (Packed_sim.po_value sim 0) 0 in
+  let after_a' = Packed.get (Packed_sim.po_value sim 0) 0 in
   Alcotest.check Testutil.ternary_testable "branch replays" after_a after_a';
   Packed_sim.restore_state sim snap;
   Packed_sim.step sim (v "00");
   (* en=0 holds: q0 still 1 from the count step *)
   Alcotest.check Testutil.ternary_testable "other branch differs" T.One
-    (Bist_logic.Packed.get (Packed_sim.po_value sim 0) 0)
+    (Packed.get (Packed_sim.po_value sim 0) 0)
 
 let test_state_diff_count () =
   let circuit = Bist_bench.Teaching.shift4 () in

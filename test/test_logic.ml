@@ -1,7 +1,7 @@
 (* Suites for Bist_logic: Ternary, Packed, Vector, Tseq. *)
 
 module T = Bist_logic.Ternary
-module P = Bist_logic.Packed
+module P = Packed
 module Vector = Bist_logic.Vector
 module Tseq = Bist_logic.Tseq
 

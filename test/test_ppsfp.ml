@@ -20,7 +20,9 @@
    covers s27 and a band of small synthetics. The single-fault path
    ({!Bist_fault.Fsim.single}, whose trace buffer is reused across
    sequences) and the snapshot calls the directed search branches with
-   are checked against {!Packed_sim} too.
+   are checked against {!Packed_sim} too, and so is every step of a run
+   under random flip-flop and X-site forces, with lanes dropped and the
+   run moved into a fresh simulator mid-sequence.
 
    The fault-free trace every group pass reads is checked on its own:
    its gate table exhaustively against {!Bist_circuit.Gate.eval}, and
@@ -555,6 +557,139 @@ let test_snapshot_replays_prefix name () =
         true (want = got))
     [ 42; 43 ]
 
+(* --- lazy flip-flop state and activation ----------------------------- *)
+
+type force =
+  | Out of Netlist.node * int * T.t (* node, lane mask, value *)
+  | Pin of Netlist.node * int * int * T.t (* gate, pin, lane mask, value *)
+
+let install_force sim = function
+  | Out (node, mask, v) -> Ppsfp.add_output_force sim node ~mask v
+  | Pin (gate, pin, mask, v) -> Ppsfp.add_pin_force sim ~gate ~pin ~mask v
+
+let install_oracle sim = function
+  | Out (node, mask, v) -> Packed_sim.add_output_force sim node ~mask v
+  | Pin (gate, pin, mask, v) -> Packed_sim.add_pin_force sim ~gate ~pin ~mask v
+
+(* One to three forces per lane, on the sites the kernel treats
+   specially: a flip-flop's output or D pin (a flip-flop is clocked only
+   when dirty, pinned or fed a deviating word), and a gate output or
+   gate pin whose fault-free value is X at some step (a forced gate is
+   evaluated only when a force disagrees with the value it overrides,
+   and X disagrees with both). *)
+let random_forces rng circuit seq =
+  let scalar = Seq_sim.create circuit in
+  let x_site = Array.make (Netlist.size circuit) false in
+  Tseq.iter
+    (fun vec ->
+      ignore (Seq_sim.step scalar vec : Vector.t);
+      for node = 0 to Netlist.size circuit - 1 do
+        if T.equal (Seq_sim.node_value scalar node) T.X then x_site.(node) <- true
+      done)
+    seq;
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let gates = Array.to_list (Netlist.topo_order circuit) in
+  let x_gates = List.filter (fun g -> x_site.(g)) gates in
+  let x_pins =
+    List.concat_map
+      (fun g ->
+        Array.to_list (Netlist.fanins circuit g)
+        |> List.mapi (fun p d -> if x_site.(d) then Some (g, p) else None)
+        |> List.filter_map Fun.id)
+      gates
+  in
+  let dffs = Array.to_list (Netlist.dffs circuit) in
+  let value () = if Rng.bool rng then T.One else T.Zero in
+  List.concat_map
+    (fun lane ->
+      let mask = 1 lsl lane in
+      List.init
+        (1 + Rng.int rng 3)
+        (fun _ ->
+          match Rng.int rng 5 with
+          | 0 -> Out (pick dffs, mask, value ())
+          | 1 -> Pin (pick dffs, 0, mask, value ())
+          | 2 when x_gates <> [] -> Out (pick x_gates, mask, value ())
+          | 3 when x_pins <> [] ->
+            let g, p = pick x_pins in
+            Pin (g, p, mask, value ())
+          | _ -> Out (Rng.int rng (Netlist.size circuit), mask, value ())))
+    (List.init 62 succ)
+
+(* The per-step observations of a forced run, against Packed_sim on the
+   same forces: lanes in [drop] are dropped after step [drop_at], and
+   after step [move_at - 1] the run moves into a fresh simulator through
+   [save_state]/[restore_state] and a trace started from the snapshot.
+   Returns the mismatches as "what@step" strings. *)
+let forced_run_mismatches circuit seq forces ~drop ~drop_at ~move_at =
+  let len = Tseq.length seq in
+  let sim = ref (Ppsfp.create circuit) in
+  List.iter (install_force !sim) forces;
+  Ppsfp.reset !sim;
+  let tr = ref (Ppsfp.trace !sim seq) and offset = ref 0 in
+  let oracle = Packed_sim.create circuit in
+  List.iter (install_oracle oracle) forces;
+  Packed_sim.reset oracle;
+  let dropped = ref 0 and bad = ref [] in
+  for u = 0 to len - 1 do
+    if u = move_at then begin
+      let snap = Ppsfp.save_state !sim in
+      let fresh = Ppsfp.create circuit in
+      List.iter (install_force fresh) forces;
+      Ppsfp.drop_lanes fresh !dropped;
+      Ppsfp.restore_state fresh snap;
+      let rest = Tseq.sub seq ~lo:u ~hi:(len - 1) in
+      let fresh_tr = Ppsfp.trace fresh rest in
+      Ppsfp.retrace ~from:snap fresh_tr rest;
+      sim := fresh;
+      tr := fresh_tr;
+      offset := u
+    end;
+    Ppsfp.step !sim !tr (u - !offset);
+    Packed_sim.step oracle (Tseq.get seq u);
+    let live = lnot !dropped in
+    if Ppsfp.po_diff_lanes !sim <> Packed_sim.po_diff_lanes oracle land live then
+      bad := Printf.sprintf "po_diff_lanes@%d" u :: !bad;
+    for lane = 1 to 62 do
+      let want =
+        if !dropped land (1 lsl lane) <> 0 then 0
+        else Packed_sim.state_diff_count oracle ~lane
+      in
+      if Ppsfp.state_diff_count !sim ~lane <> want then
+        bad := Printf.sprintf "state_diff_count lane %d@%d" lane u :: !bad
+    done;
+    if u = drop_at then begin
+      dropped := drop;
+      Ppsfp.drop_lanes !sim drop
+    end
+  done;
+  List.rev !bad
+
+let forced_run_property =
+  Testutil.qcheck
+    (QCheck.Test.make
+       ~name:"ppsfp forces, drops, snapshot moves == packed per step" ~count:60
+       Testutil.circuit_and_seq
+       (fun (cseed, sseed, len) ->
+         let circuit = Testutil.small_circuit cseed in
+         let rng = Rng.create sseed in
+         let seq =
+           Tseq.of_vectors
+             (Array.init len (fun _ ->
+                  Vector.init (Netlist.num_inputs circuit) (fun _ ->
+                      match Rng.int rng 8 with
+                      | 0 -> T.X
+                      | k -> if k land 1 = 0 then T.Zero else T.One)))
+         in
+         let forces = random_forces rng circuit seq in
+         let drop = (Rng.int rng (1 lsl 31) lor (Rng.int rng (1 lsl 31) lsl 31)) lsl 1 in
+         let drop_at = Rng.int rng len and move_at = 1 + Rng.int rng (len - 1) in
+         match forced_run_mismatches circuit seq forces ~drop ~drop_at ~move_at with
+         | [] -> true
+         | bad ->
+           QCheck.Test.fail_reportf "drop at %d, move at %d: %s" drop_at move_at
+             (String.concat ", " bad)))
+
 let suite =
   [
     Alcotest.test_case "synthetics: ppsfp == packed at widths 1/2/4" `Slow
@@ -588,4 +723,5 @@ let suite =
       (test_snapshot_replays_prefix "s27");
     Alcotest.test_case "snapshot branch == straight run (x298)" `Quick
       (test_snapshot_replays_prefix "x298");
+    forced_run_property;
   ]

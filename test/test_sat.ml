@@ -165,7 +165,7 @@ module Universe = Bist_fault.Universe
 module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
 module T = Bist_logic.Ternary
-module P = Bist_logic.Packed
+module P = Packed
 
 (* Constrain the view's PIs to a binary sequence via assumptions. *)
 let pi_assumptions view seq =

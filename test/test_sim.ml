@@ -107,9 +107,9 @@ let test_packed_forcing () =
      cycle 1, while lane 1 carries the forced q0. *)
   let q1_word = Packed_sim.po_value sim 1 in
   Alcotest.check Testutil.ternary_testable "lane0 good" T.Zero
-    (Bist_logic.Packed.get q1_word 0);
+    (Packed.get q1_word 0);
   Alcotest.check Testutil.ternary_testable "lane1 faulty" T.One
-    (Bist_logic.Packed.get q1_word 1);
+    (Packed.get q1_word 1);
   Alcotest.(check bool) "diff detected" true (Packed_sim.po_diff_lanes sim land 0b10 <> 0)
 
 let test_packed_pin_force_is_local () =
@@ -125,11 +125,11 @@ let test_packed_pin_force_is_local () =
   Packed_sim.step sim (Vector.of_string "1");
   let y = Packed_sim.po_value sim 0 and z = Packed_sim.po_value sim 1 in
   Alcotest.check Testutil.ternary_testable "y lane1 forced" T.Zero
-    (Bist_logic.Packed.get y 1);
+    (Packed.get y 1);
   Alcotest.check Testutil.ternary_testable "z lane1 unaffected" T.Zero
-    (Bist_logic.Packed.get z 1);
+    (Packed.get z 1);
   Alcotest.check Testutil.ternary_testable "y lane0 good" T.One
-    (Bist_logic.Packed.get y 0)
+    (Packed.get y 0)
 
 let test_packed_clear_forces () =
   let c = Bist_bench.Teaching.shift4 () in

@@ -198,7 +198,7 @@ module Packed_directed = struct
     while !detected_at < 0 && !u < len do
       Packed_sim.step sim (Tseq.get segment !u);
       if Packed_sim.po_diff_lanes sim land 0b10 <> 0 then detected_at := !u;
-      let good = Bist_logic.Packed.get (Packed_sim.node_value sim site) 0 in
+      let good = Packed.get (Packed_sim.node_value sim site) 0 in
       if T.is_binary good && not (T.equal good stuck) then incr excitations;
       let div = Packed_sim.state_diff_count sim ~lane:1 in
       if div > !max_state_div then max_state_div := div;

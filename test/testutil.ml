@@ -84,7 +84,7 @@ let packed_lane0_matches_seq_sim circuit seq =
       Array.iteri
         (fun i _ ->
           let got =
-            Bist_logic.Packed.get (Packed_sim.po_value packed i) 0
+            Packed.get (Packed_sim.po_value packed i) 0
           in
           if not (T.equal got (Vector.get expected.(u) i)) then ok := false)
         (Bist_circuit.Netlist.outputs circuit))
