@@ -1,4 +1,4 @@
-.PHONY: all build test test-parallel lint trace-smoke fuzz-smoke interrupt-smoke daemon-smoke sat-smoke blif-smoke perf-smoke check smoke bench bench-json clean
+.PHONY: all build test test-parallel lint trace-smoke fuzz-smoke interrupt-smoke daemon-smoke sat-smoke blif-smoke perf-smoke work-gate check smoke bench bench-json clean
 
 all: build
 
@@ -75,7 +75,19 @@ perf-smoke:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- --perf-smoke
 
-check: test test-parallel lint trace-smoke fuzz-smoke interrupt-smoke daemon-smoke sat-smoke blif-smoke perf-smoke
+# Work gate (DESIGN.md §9): every Obs work counter of T0 generation,
+# T0 compaction and Scheme.execute at n = 4 on s27, x298, x526 and
+# x1488, and of one x5378 execute, must equal bench/work_expected.txt.
+# The counts depend on neither the host nor --jobs, so the gate can fail
+# on a one-core host. A change that moves them regenerates the file
+# (dune exec bench/main.exe -- --work > bench/work_expected.txt) and
+# explains the diff in CHANGES.md.
+work-gate:
+	dune build bench/main.exe
+	dune exec bench/main.exe -- --work > _build/work-gate.txt
+	diff -u bench/work_expected.txt _build/work-gate.txt
+
+check: test test-parallel lint trace-smoke fuzz-smoke interrupt-smoke daemon-smoke sat-smoke blif-smoke perf-smoke work-gate
 
 # Acceptance gate: the unit/property suites plus the seeded s27
 # fault-injection campaign (200 faults, hardened defense) — every fault

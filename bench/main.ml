@@ -4,6 +4,9 @@
    of the scheme costs in result quality). The paper's tables come from
    `bin/tables.exe`, and the timed end-to-end layers from perfbench.
 
+   `--work`: every work counter of a fixed set of pipeline runs, the
+   output `make work-gate` compares with bench/work_expected.txt.
+
    `--json PATH`: the recorded trajectory. Wall-times the fault-table
    workloads sequentially and on a `--jobs`-wide domain pool, verifies
    the two tables are bit-identical, and appends one run record to the
@@ -387,6 +390,54 @@ let perf_smoke ~jobs path =
   if !failed then exit 1;
   print_endline "perf-smoke: PASS"
 
+(* `--work`: the work gate. Every Obs counter of T0 generation, T0
+   compaction and Scheme.execute at n = 4 on s27, x298, x526 and x1488
+   (each as the experiment harness runs it, T0 from seed 2026), then of
+   one x5378 execute at n = 4 on a fixed 720-vector random T0 with the
+   fast strategy, one "circuit counter value" line each. Every count is
+   deterministic and the same at every pool width, so `make work-gate`
+   diffs this output against bench/work_expected.txt exactly. *)
+let run_work () =
+  let print name obs =
+    List.iter
+      (fun (counter, v) -> Printf.printf "%s %s %d\n" name counter v)
+      (Bist_obs.Metrics.counters (Option.get (Bist_obs.Obs.metrics obs)))
+  in
+  let seed = 2026 and n = 4 in
+  let circuit_of name = (Option.get (Bist_bench.Registry.find name)).circuit () in
+  List.iter
+    (fun name ->
+      let circuit = circuit_of name in
+      let budget = Bist_harness.Experiment.budget_for circuit in
+      let universe = Universe.collapsed circuit in
+      let obs = Bist_obs.Obs.create () in
+      let raw, _ =
+        Bist_tgen.Engine.generate ~obs
+          ~config:(Bist_harness.Experiment.tgen_config circuit budget)
+          ~rng:(Bist_util.Rng.create seed) universe
+      in
+      let t0, _ =
+        Bist_tgen.Compaction.compact ~obs ~max_trials:budget.compaction_trials universe raw
+      in
+      ignore
+        (Bist_core.Scheme.execute ~obs ~strategy:budget.strategy ~seed:(seed + n) ~n ~t0
+           universe
+          : Bist_core.Scheme.run);
+      print name obs)
+    [ "s27"; "x298"; "x526"; "x1488" ];
+  let circuit = circuit_of "x5378" in
+  let universe = Universe.collapsed circuit in
+  let t0 =
+    Bist_logic.Tseq.random_binary (Bist_util.Rng.create seed)
+      ~width:(Bist_circuit.Netlist.num_inputs circuit) ~length:720
+  in
+  let obs = Bist_obs.Obs.create () in
+  ignore
+    (Bist_core.Scheme.execute ~obs ~strategy:Bist_core.Procedure2.fast_strategy
+       ~seed:(seed + n) ~n ~t0 universe
+      : Bist_core.Scheme.run);
+  print "x5378" obs
+
 let () =
   let args = Array.to_list Sys.argv in
   let has flag = List.mem flag args in
@@ -406,7 +457,8 @@ let () =
       | None -> Printf.eprintf "error: --jobs expects an integer\n"; exit 2)
     | None -> 0
   in
-  if has "--perf-smoke" then
+  if has "--work" then run_work ()
+  else if has "--perf-smoke" then
     perf_smoke ~jobs
       (Option.value (value_of "--json") ~default:"BENCH_results.json")
   else

@@ -22,3 +22,8 @@ let expansion_factor ~operators ~n =
   * if has Reverse then 2 else 1
 
 let expanded_length ~n len = 8 * n * len
+
+let block_length ~operators ~n seq =
+  if List.mem Repeat operators && n >= 2 && Tseq.length seq >= 1 then
+    Some (Tseq.length seq)
+  else None

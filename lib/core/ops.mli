@@ -33,3 +33,12 @@ val expansion_factor : operators:operator list -> n:int -> int
 
 val expanded_length : n:int -> int -> int
 (** [expanded_length ~n len = 8 * n * len]. *)
+
+val block_length :
+  operators:operator list -> n:int -> Bist_logic.Tseq.t -> int option
+(** The block length to simulate [expand_with ~operators ~n seq] with
+    ({!Bist_fault.Fsim.run}[ ?block]): [Some (length seq)] when the
+    operators include [Repeat] and [n >= 2], else [None]. Every later
+    stage maps or concatenates whole [|S|]-vector blocks, so each of the
+    expansion's segments is [n] blocks, most of which repeat the one
+    before. *)

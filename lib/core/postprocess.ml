@@ -85,7 +85,11 @@ let run ?(passes = default_passes) ?(operators = Ops.all_operators)
         let exp = Ops.expand_with ~operators ~n it.seq in
         time_units :=
           !time_units + (Tseq.length exp * ((Bitset.cardinal fresh + 61) / 62));
-        let outcome = Fsim.run ~obs ~targets:fresh universe exp in
+        let outcome =
+          Fsim.run ~obs ~targets:fresh
+            ?block:(Ops.block_length ~operators ~n it.seq)
+            universe exp
+        in
         Bitset.union_into it.met fresh;
         Bitset.union_into it.det outcome.Fsim.detected
       end;

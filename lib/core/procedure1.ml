@@ -98,7 +98,11 @@ let run ?(strategy = Procedure2.paper_strategy) ?(operators = Ops.all_operators)
           let exp = Ops.expand_with ~operators ~n proc2.Procedure2.subsequence in
           time_units :=
             !time_units + (Tseq.length exp * ((Bitset.cardinal targets + 61) / 62));
-          let outcome = Fsim.run ~obs ~targets universe exp in
+          let outcome =
+            Fsim.run ~obs ~targets
+              ?block:(Ops.block_length ~operators ~n proc2.Procedure2.subsequence)
+              universe exp
+          in
           let newly = outcome.Fsim.detected in
           (* Procedure 2 guarantees the expansion detects its seeding fault. *)
           assert (Bitset.mem newly fid);

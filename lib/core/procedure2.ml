@@ -49,7 +49,7 @@ let find ?(strategy = paper_strategy) ?(operators = Ops.all_operators)
     let exp = Ops.expand_with ~operators ~n seq in
     incr sims;
     time_units := !time_units + Tseq.length exp;
-    Fsim.single_detects single exp
+    Fsim.single_detects ?block:(Ops.block_length ~operators ~n seq) single exp
   in
   let window_of ustart = Tseq.sub t0 ~lo:ustart ~hi:udet in
   let give_up () =

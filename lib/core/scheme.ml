@@ -44,7 +44,10 @@ let verify_coverage ?(obs = Bist_obs.Obs.null) ~operators ~n universe targets se
       if not (Bitset.is_empty remaining) then begin
         let exp = Ops.expand_with ~operators ~n seq in
         time_units := !time_units + Tseq.length exp;
-        let outcome = Fsim.run ~targets:remaining universe exp in
+        let outcome =
+          Fsim.run ~targets:remaining ?block:(Ops.block_length ~operators ~n seq)
+            universe exp
+        in
         Bitset.diff_into remaining outcome.Fsim.detected
       end)
     seqs;

@@ -37,35 +37,51 @@ type circuit_result = {
   scoap : Bist_analyze.Scoap.summary;
 }
 
+let tgen_config circuit budget =
+  { (Bist_tgen.Engine.default_config circuit) with
+    max_length = budget.tgen_max_length;
+    directed_budget = (if Bist_circuit.Netlist.size circuit < 1500 then 16 else 0) }
+
 let run_circuit ?(seed = 2026) ?budget (entry : Bist_bench.Registry.entry) =
   let circuit = entry.circuit () in
   let budget = match budget with Some b -> b | None -> budget_for circuit in
   let universe = Universe.collapsed circuit in
   let rng = Bist_util.Rng.create seed in
-  let config =
-    { (Bist_tgen.Engine.default_config circuit) with
-      max_length = budget.tgen_max_length;
-      directed_budget =
-        (if Bist_circuit.Netlist.size circuit < 1500 then 16 else 0) }
-  in
+  let config = tgen_config circuit budget in
   let t0_raw, tgen_stats = Bist_tgen.Engine.generate ~config ~rng universe in
   let t0, compaction_stats =
     Bist_tgen.Compaction.compact ~max_trials:budget.compaction_trials universe
       t0_raw
   in
-  let table = Bist_core.Scheme.simulate_t0 universe t0 in
-  let runs =
-    List.map
-      (fun n ->
-        Bist_core.Scheme.execute ~strategy:budget.strategy ~table ~seed:(seed + n)
-          ~n ~t0 universe)
-      budget.ns
+  (* Table 4 divides by the T0 fault-simulation time, and one run of a
+     second or less moves with the host by a third or more: the
+     denominator is the best of 3 runs, and the chosen n's selection and
+     compaction are re-timed as the best of 3 as well. *)
+  let table =
+    let first, seconds = Bist_core.Scheme.simulate_t0 universe t0 in
+    let again () = snd (Bist_core.Scheme.simulate_t0 universe t0) in
+    (first, List.fold_left Float.min seconds [ again (); again () ])
   in
-  let best =
+  let execute ?verify n =
+    Bist_core.Scheme.execute ~strategy:budget.strategy ~table ?verify ~seed:(seed + n) ~n
+      ~t0 universe
+  in
+  let runs = List.map (fun n -> execute n) budget.ns in
+  let chosen =
     match runs with
     | [] -> invalid_arg "Experiment.run_circuit: empty n sweep"
     | first :: rest -> List.fold_left Bist_core.Scheme.better first rest
   in
+  let best =
+    List.fold_left
+      (fun (b : Bist_core.Scheme.run) (r : Bist_core.Scheme.run) ->
+        { b with
+          proc1_seconds = Float.min b.proc1_seconds r.proc1_seconds;
+          compaction_seconds = Float.min b.compaction_seconds r.compaction_seconds })
+      chosen
+      (List.init 2 (fun _ -> execute ~verify:false chosen.n))
+  in
+  let runs = List.map (fun r -> if r == chosen then best else r) runs in
   {
     name = entry.name;
     paper_name = entry.paper_name;

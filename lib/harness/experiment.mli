@@ -19,6 +19,11 @@ val budget_for : Bist_circuit.Netlist.t -> budget
 (** Size-scaled defaults; the [n] sweep is always the paper's
     [\[2; 4; 8; 16\]]. *)
 
+val tgen_config : Bist_circuit.Netlist.t -> budget -> Bist_tgen.Engine.config
+(** The engine configuration {!run_circuit} generates T0 with: the
+    budget's length cap, and a directed-search budget of 16 below ~1500
+    nodes, none above. *)
+
 type circuit_result = {
   name : string;
   paper_name : string;
@@ -36,6 +41,11 @@ type circuit_result = {
 
 val run_circuit :
   ?seed:int -> ?budget:budget -> Bist_bench.Registry.entry -> circuit_result
+(** Every [n] shares one T0 fault table, whose simulation is timed as
+    the best of 3 runs; the chosen [n]'s selection and compaction are
+    timed as the best of 3 executions (the extra two skip the coverage
+    check). Table 4's ratios divide those times, and a single run of
+    each moved them by a third or more between reruns. *)
 
 val run_suite :
   ?seed:int ->

@@ -1,13 +1,13 @@
 (** Deterministic sharding of a fault universe over a {!Pool}.
 
-    {!Bist_fault.Fsim.run} cuts the (canonically ordered) target-id
-    array into contiguous shards of whole 62-fault groups, runs one fully
-    independent simulation per shard — each worker builds its own
-    simulator instance, so no mutable simulation state is shared between
-    domains — and {!merge}s the per-shard detection times back into
-    universe order.
+    {!Bist_fault.Fsim.run} cuts its target ids, in the universe's
+    locality order, into contiguous shards of whole 62-fault groups, runs
+    one fully independent simulation per shard — each worker builds its
+    own simulator instance, so no mutable simulation state is shared
+    between domains — and {!merge}s the per-shard detection times back
+    into universe order.
 
-    Because shards are disjoint slices of the canonical id order and a
+    Because shards are disjoint slices of one fixed order and a
     fault's detection time does not depend on which other faults share
     its simulation pass, the merged result is {e bit-identical} for every
     shard count, including 1. That invariant is the contract the property
@@ -15,7 +15,7 @@
     existing workload without changing its output. *)
 
 type piece = {
-  ids : int array;  (** Chunk fault ids, a slice of the canonical order. *)
+  ids : int array;  (** Chunk fault ids, a slice of the target order. *)
   det_time : int array;
       (** Chunk-local first-detection times aligned with [ids];
           [-1] = undetected. *)

@@ -157,6 +157,15 @@ type t = {
   mutable evals : int;
   mutable n_full_steps : int;
   mutable n_event_steps : int;
+  (* the state at the last [mark]: lane 0's code per flip-flop, and the
+     planes of the flip-flops dirty then, stamped [mark_id] *)
+  mutable marked : bool;
+  mutable mark_id : int;
+  mutable mark_dirty : int;
+  mark_good : Bytes.t;
+  mark_stamp : int array;
+  mark_ones : int array;
+  mark_zeros : int array;
 }
 
 let create circuit =
@@ -313,6 +322,13 @@ let create circuit =
     evals = 0;
     n_full_steps = 0;
     n_event_steps = 0;
+    marked = false;
+    mark_id = 0;
+    mark_dirty = 0;
+    mark_good = Bytes.make n_ffs '\000';
+    mark_stamp = Array.make n_ffs 0;
+    mark_ones = Array.make n_ffs 0;
+    mark_zeros = Array.make n_ffs 0;
   }
 
 let circuit t = t.circuit
@@ -325,12 +341,19 @@ let po_diff_lanes t = t.diff_lanes
 
 type snapshot = { snap_ones : int array; snap_zeros : int array }
 
+(* With a block length [l], block [k] is steps [k * l, (k + 1) * l); only
+   whole blocks count. [reps] caches, per block [k >= 1], whether its
+   input vectors equal those of block [k - 1]: 0 not compared yet, 1 no,
+   2 yes. *)
 type trace = {
   tr_circuit : Netlist.t;
   mutable seq : Tseq.t;
   tr_n : int;
   mutable data : Bytes.t; (* [upto * tr_n] materialized bytes, internal ids *)
   mutable upto : int;
+  mutable block : int; (* 0: none *)
+  mutable reps : Bytes.t;
+  mutable copies : int;
   g_state : int array; (* per-flip-flop present-state code *)
   g_prog : int array;
   g_n_pis : int;
@@ -338,24 +361,45 @@ type trace = {
   g_of_netlist : int array;
 }
 
-let trace t seq = {
-  tr_circuit = t.circuit;
-  seq;
-  tr_n = t.n;
-  data = Bytes.make (t.n * min (max 1 (Tseq.length seq)) 64) '\000';
-  upto = 0;
-  g_state = Array.make (Array.length t.dff_d) 0;
-  g_prog = t.prog;
-  g_n_pis = t.n_pis;
-  g_dff_d = t.dff_d;
-  g_of_netlist = t.of_netlist;
-}
+let set_block tr block =
+  let l = Option.value block ~default:0 in
+  if block <> None && l < 1 then invalid_arg "Ppsfp.trace: block length must be >= 1";
+  tr.block <- l;
+  if l > 0 then begin
+    let blocks = Tseq.length tr.seq / l in
+    if Bytes.length tr.reps < blocks then tr.reps <- Bytes.create blocks;
+    Bytes.fill tr.reps 0 blocks '\000'
+  end
+
+let trace ?block t seq =
+  let tr =
+    {
+      tr_circuit = t.circuit;
+      seq;
+      tr_n = t.n;
+      data = Bytes.make (t.n * min (max 1 (Tseq.length seq)) 64) '\000';
+      upto = 0;
+      block = 0;
+      reps = Bytes.empty;
+      copies = 0;
+      g_state = Array.make (Array.length t.dff_d) 0;
+      g_prog = t.prog;
+      g_n_pis = t.n_pis;
+      g_dff_d = t.dff_d;
+      g_of_netlist = t.of_netlist;
+    }
+  in
+  set_block tr block;
+  tr
 
 let trace_length tr = tr.upto
+let trace_copies tr = tr.copies
 
-let retrace ?from tr seq =
+let retrace ?from ?block tr seq =
   tr.seq <- seq;
   tr.upto <- 0;
+  tr.copies <- 0;
+  set_block tr block;
   match from with
   | None -> Array.fill tr.g_state 0 (Array.length tr.g_state) 0
   | Some s ->
@@ -372,18 +416,66 @@ let good_value tr u node =
   ternary_of_code
     (Char.code (Bytes.get tr.data ((u * tr.tr_n) + tr.g_of_netlist.(node))))
 
+(* Room for [rows] rows, doubling up to the sequence's length. *)
+let grow tr rows =
+  let n = tr.tr_n in
+  if Bytes.length tr.data < rows * n then begin
+    let grown =
+      Bytes.make (max (rows * n) (min (2 * Bytes.length tr.data) (Tseq.length tr.seq * n))) '\000'
+    in
+    Bytes.blit tr.data 0 grown 0 (tr.upto * n);
+    tr.data <- grown
+  end
+
+(* Whether the input vectors of block [k >= 1] equal those of block
+   [k - 1]; compared once per trace start. *)
+let inputs_repeat tr k =
+  match Bytes.unsafe_get tr.reps k with
+  | '\001' -> false
+  | '\002' -> true
+  | _ ->
+    let l = tr.block and seq = tr.seq in
+    let rec same u =
+      u >= (k + 1) * l
+      ||
+      let a = Tseq.get seq u and b = Tseq.get seq (u - l) in
+      (a == b || Bist_logic.Vector.equal a b) && same (u + 1)
+    in
+    let r = same (k * l) in
+    Bytes.unsafe_set tr.reps k (if r then '\002' else '\001');
+    r
+
+(* Steps from [u] on, whole blocks of them, whose inputs repeat the block
+   before: none unless [u] is a positive multiple of the block length. *)
+let repeats tr u =
+  let l = tr.block in
+  if l = 0 || u <= 0 || u mod l <> 0 then 0
+  else begin
+    let whole = Tseq.length tr.seq / l in
+    let k = ref (u / l) in
+    while !k < whole && inputs_repeat tr !k do
+      incr k
+    done;
+    (!k * l) - u
+  end
+
+(* The fault-free machine's present state equals its state at step [r],
+   the flip-flop bytes of row [r]. *)
+let state_is_row tr r =
+  let base = (r * tr.tr_n) + tr.g_n_pis and state = tr.g_state in
+  let rec go i =
+    i >= Array.length state
+    || (Char.code (Bytes.unsafe_get tr.data (base + i)) = Array.unsafe_get state i
+       && go (i + 1))
+  in
+  go 0
+
 (* One step of the fault-free machine: PI and present-state codes in,
    then the compiled program, then the next state out. *)
-let trace_step tr =
+let sweep tr =
   let u = tr.upto in
   let n = tr.tr_n in
-  if Bytes.length tr.data < (u + 1) * n then begin
-    let grown =
-      Bytes.make (max ((u + 1) * n) (min (2 * Bytes.length tr.data) (Tseq.length tr.seq * n))) '\000'
-    in
-    Bytes.blit tr.data 0 grown 0 (u * n);
-    tr.data <- grown
-  end;
+  grow tr (u + 1);
   let base = u * n in
   let data = tr.data in
   let vec = Tseq.get tr.seq u in
@@ -410,6 +502,22 @@ let trace_step tr =
       (Char.code (Bytes.unsafe_get data (base + Array.unsafe_get dff_d i)))
   done;
   tr.upto <- u + 1
+
+(* The next row, or the next block of rows: a block whose inputs repeat
+   the block before, entered in the state that block was entered in,
+   repeats its rows, so they are copied, and the state stays where it
+   is. *)
+let trace_step tr =
+  let u = tr.upto and n = tr.tr_n and l = tr.block in
+  if l > 0 && u > 0 && u mod l = 0 && u + l <= Tseq.length tr.seq
+     && inputs_repeat tr (u / l) && state_is_row tr (u - l)
+  then begin
+    grow tr (u + l);
+    Bytes.blit tr.data ((u - l) * n) tr.data (u * n) (l * n);
+    tr.upto <- u + l;
+    tr.copies <- tr.copies + l
+  end
+  else sweep tr
 
 let trace_ensure tr u =
   if u >= Tseq.length tr.seq then
@@ -493,7 +601,8 @@ let clear_forces t =
 let rearm t =
   t.diff_lanes <- 0;
   t.full_mode <- false;
-  t.activity.(0) <- 0.0
+  t.activity.(0) <- 0.0;
+  t.marked <- false
 
 let[@inline] deviates o z = o <> -(o land 1) || z <> -(z land 1)
 
@@ -537,6 +646,49 @@ let restore_state t s =
   done;
   t.stepped <- false;
   rearm t
+
+(* Lane 0's present-state code of flip-flop [i]: its D driver's byte at
+   the last step, or, before the first step after [reset] or
+   [restore_state], lane 0 of the state arrays. *)
+let good_code t i =
+  if t.stepped then
+    Char.code (Bytes.unsafe_get t.trd (t.tr_base + Array.unsafe_get t.dff_d i))
+  else (t.state_ones.(i) land 1) lor ((t.state_zeros.(i) land 1) lsl 1)
+
+(* A clean flip-flop is the broadcast of lane 0, so the state of every
+   lane is lane 0's codes plus the dirty flip-flops' planes, and two
+   states are equal iff both parts are: a flip-flop dirty now whose
+   planes equal its marked ones was dirty at the mark as well, so equal
+   counts make the dirty sets equal. *)
+let mark t =
+  t.marked <- true;
+  t.mark_id <- t.mark_id + 1;
+  for i = 0 to Bytes.length t.mark_good - 1 do
+    Bytes.unsafe_set t.mark_good i (Char.unsafe_chr (good_code t i))
+  done;
+  for k = 0 to t.n_dirty - 1 do
+    let i = t.dirty.(k) in
+    t.mark_stamp.(i) <- t.mark_id;
+    t.mark_ones.(i) <- t.state_ones.(i);
+    t.mark_zeros.(i) <- t.state_zeros.(i)
+  done;
+  t.mark_dirty <- t.n_dirty
+
+let recurs t =
+  let rec dirty_same k =
+    k >= t.n_dirty
+    ||
+    let i = t.dirty.(k) in
+    t.mark_stamp.(i) = t.mark_id
+    && t.mark_ones.(i) = t.state_ones.(i)
+    && t.mark_zeros.(i) = t.state_zeros.(i)
+    && dirty_same (k + 1)
+  in
+  let rec good_same i =
+    i >= Bytes.length t.mark_good
+    || (Char.code (Bytes.unsafe_get t.mark_good i) = good_code t i && good_same (i + 1))
+  in
+  t.marked && t.n_dirty = t.mark_dirty && dirty_same 0 && good_same 0
 
 (* A clean flip-flop equals lane 0 in every lane, so only the dirty list
    can count. *)

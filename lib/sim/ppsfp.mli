@@ -34,7 +34,13 @@
       decays — the hybrid is self-tuning per group;
     - {!drop_lanes} retires detected faults mid-sequence: their forces
       are masked out and their flip-flop lanes snap back to the good
-      machine, so a detected fault stops generating events.
+      machine, so a detected fault stops generating events;
+    - a trace given a {e block length} [l] (a repeated expansion's [|S|])
+      copies a block's rows from the block before when the two blocks'
+      inputs are equal and the good machine enters both in the same
+      state, and a group pass may jump the same way over blocks in which
+      {e every} lane would repeat itself ({!mark}, {!recurs},
+      {!repeats}).
 
     Internally the kernel renumbers the nodes (inputs, flip-flops, then
     gates by level) and keeps each node's hot data in one interleaved
@@ -66,22 +72,45 @@ type trace
     simulator instances over the same circuit — but only within one
     domain: growth is not synchronized. *)
 
-val trace : t -> Bist_logic.Tseq.t -> trace
-(** A fresh (empty) trace of [seq] for this simulator's circuit. *)
+val trace : ?block:int -> t -> Bist_logic.Tseq.t -> trace
+(** A fresh (empty) trace of [seq] for this simulator's circuit.
+
+    With [block] (a length [l >= 1], else [Invalid_argument]), block [k]
+    is steps [\[k l, (k + 1) l)]; only whole blocks count. When the
+    trace reaches the start [u] of block [k >= 1], block [k]'s input
+    vectors equal block [k - 1]'s, and the fault-free state at [u]
+    equals the one at [u - l], block [k] would replay block [k - 1] step
+    for step and end in the state it started in. Its rows are then
+    copied from block [k - 1] instead of swept, and the state stays. The
+    test is on the actual vectors and states, so any [l] gives the same
+    rows: a length that is not the sequence's period only finds fewer
+    blocks to copy. *)
 
 val trace_length : trace -> int
-(** Steps materialized so far. *)
+(** Steps materialized so far, swept or copied. *)
+
+val trace_copies : trace -> int
+(** Of those, the steps copied from the block before. *)
+
+val repeats : trace -> int -> int
+(** [repeats trace u] is the number of steps from [u] on, in whole
+    blocks, whose input vectors repeat the block before them: [m l] for
+    the longest run of blocks [u / l, ..., u / l + m - 1] each equal to
+    its predecessor. It is [0] unless the trace has a block length [l]
+    and [u] is a positive multiple of it. Vectors are compared once per
+    block and trace start. *)
 
 type snapshot
 (** The packed flip-flop state of all lanes. *)
 
-val retrace : ?from:snapshot -> trace -> Bist_logic.Tseq.t -> unit
+val retrace : ?from:snapshot -> ?block:int -> trace -> Bist_logic.Tseq.t -> unit
 (** Restart the trace on a new sequence, keeping its buffer: a caller
     that simulates many short candidate sequences allocates one buffer,
     not one per candidate. The fault-free machine starts all-X, or in
     lane 0 of [from] (the state a {!restore_state} of the same snapshot
-    gives lane 0). Steps materialized before are discarded, so no
-    simulator may be part-way through the old sequence. *)
+    gives lane 0). [block] is the new sequence's block length, as in
+    {!trace} (default: none). Steps materialized before are discarded,
+    so no simulator may be part-way through the old sequence. *)
 
 val good_value : trace -> int -> Bist_circuit.Netlist.node -> Bist_logic.Ternary.t
 (** [good_value trace u node] is the fault-free value of [node] at time
@@ -109,7 +138,14 @@ val step : t -> trace -> int -> unit
 (** [step t trace u] applies time step [u] of the trace's sequence to all
     lanes and advances the flip-flop state. Steps must be applied in
     order from 0 after a {!reset}, or after a {!restore_state} on a trace
-    started from the same snapshot ({!retrace}[ ~from]). Raises
+    started from the same snapshot ({!retrace}[ ~from]), with one kind of
+    jump allowed. Let [l] be the trace's block length and [u] a multiple
+    of it: if the simulator was {!mark}ed before the step at [u - l],
+    no force changed since (no {!drop_lanes}, no force added or
+    cleared), and {!recurs} holds after the step at [u - 1], then the
+    next step may be [u + repeats trace u]. Each skipped block would
+    replay the block before it in every lane, so it would detect
+    nothing and leave every lane's state as it is. Raises
     [Invalid_argument] if the trace belongs to a different circuit or
     [u] is out of range. *)
 
@@ -117,6 +153,16 @@ val po_diff_lanes : t -> int
 (** Detection mask of the most recent {!step}: lanes (other than 0) where
     some primary output carried the binary complement of the fault-free
     binary value. *)
+
+val mark : t -> unit
+(** Remember the present flip-flop state of every lane, lane 0 included,
+    for {!recurs}. Costs one pass over the flip-flops and allocates
+    nothing. *)
+
+val recurs : t -> bool
+(** Whether the present flip-flop state of every lane, lane 0 included,
+    equals the state at the last {!mark}. False when there was no mark
+    since the last {!reset} or {!restore_state}. *)
 
 val save_state : t -> snapshot
 

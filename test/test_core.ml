@@ -492,6 +492,30 @@ let test_scheme_guarantee_packed () =
       end)
     (Bist_bench.Registry.all ())
 
+(* Oracle (d): recurring blocks are really jumped in production. On
+   x526 at n = 16 (the fixed 128-vector random T0 above, fast strategy),
+   the expansions' groups jump past repeated blocks and their traces
+   copy rows, and the guarantee still holds. *)
+let test_recurring_blocks_skipped () =
+  let circuit = (Option.get (Bist_bench.Registry.find "x526")).circuit () in
+  let universe = Universe.collapsed circuit in
+  let t0 =
+    Tseq.random_binary (Bist_util.Rng.create 128)
+      ~width:(Bist_circuit.Netlist.num_inputs circuit) ~length:128
+  in
+  let obs = Bist_obs.Obs.create () in
+  let run =
+    Scheme.execute ~obs ~strategy:Procedure2.fast_strategy ~seed:7 ~n:16 ~t0 universe
+  in
+  let counters = Bist_obs.Metrics.counters (Option.get (Bist_obs.Obs.metrics obs)) in
+  let count name = Option.value (List.assoc_opt name counters) ~default:0 in
+  Alcotest.(check bool) "coverage verified" true run.Scheme.coverage_verified;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (Printf.sprintf "%s = %d > 0" name (count name)) true
+        (count name > 0))
+    [ "fsim.skipped_steps"; "fsim.trace_copies" ]
+
 let test_scheme_operator_ablation () =
   (* The scheme stays sound with restricted operator sets: whatever the
      pipeline, coverage of F must be preserved. *)
@@ -539,4 +563,6 @@ let suite =
     Alcotest.test_case "best n simulates T0 once" `Quick test_best_n_one_t0;
     Alcotest.test_case "operator ablation stays sound" `Quick
       test_scheme_operator_ablation;
+    Alcotest.test_case "recurring blocks are skipped (x526, n = 16)" `Quick
+      test_recurring_blocks_skipped;
   ]

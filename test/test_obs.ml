@@ -348,9 +348,10 @@ let test_work_counters () =
   let base = x298_counters 1 in
   Alcotest.(check (list (pair string int)))
     "select x298 -n 4"
-    [ ("fsim.evaluations", 59766); ("fsim.event_steps", 2132); ("fsim.full_steps", 164);
-      ("fsim.group_steps", 2296); ("fsim.groups", 43);
-      ("fsim.trace_steps", 1092); ("postprocess.time_units", 1568);
+    [ ("fsim.dropped_lanes", 1579); ("fsim.evaluations", 47265);
+      ("fsim.event_steps", 1722); ("fsim.full_steps", 121); ("fsim.group_steps", 1843);
+      ("fsim.groups", 43); ("fsim.skipped_steps", 603); ("fsim.trace_copies", 349);
+      ("fsim.trace_steps", 1065); ("postprocess.time_units", 1568);
       ("proc1.sequences", 6); ("proc2.simulations", 47); ("proc2.time_units", 4160);
       ("verify.time_units", 416) ]
     (snd base);

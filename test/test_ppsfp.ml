@@ -343,12 +343,12 @@ let test_table_exhaustive () =
 
 (* Every node at every step of [seq]: the trace's fault-free value
    against the scalar levelized simulator's, as "node@step" mismatches.
-   [tr] is restarted on [seq] first, so one trace can serve several
-   sequences. *)
-let sweep_mismatches sim tr seq =
+   [tr] is restarted on [seq] first, with block length [block], so one
+   trace can serve several sequences. *)
+let sweep_mismatches ?block sim tr seq =
   let circuit = Ppsfp.circuit sim in
   let scalar = Seq_sim.create circuit in
-  Ppsfp.retrace tr seq;
+  Ppsfp.retrace ?block tr seq;
   Ppsfp.reset sim;
   let bad = ref [] in
   Tseq.iteri
@@ -690,6 +690,204 @@ let forced_run_property =
            QCheck.Test.fail_reportf "drop at %d, move at %d: %s" drop_at move_at
              (String.concat ", " bad)))
 
+(* --- group order and recurring blocks ----------------------------------- *)
+
+let random_vector rng width =
+  Vector.init width (fun _ ->
+      match Rng.int rng 8 with 0 -> T.X | k -> if k land 1 = 0 then T.Zero else T.One)
+
+(* A sequence of repeated blocks, with X inputs, and a block length to
+   simulate it with. Half the time it is [Ops.expand] of a random S at
+   n = 2..5; otherwise 1..4 segments, each S, its complement or a fresh
+   block repeated 1..5 times. Either way one vector in six repeats may
+   be replaced (a broken repeat). The block length is |S| half the
+   time, else 1 or a random length up to |S| + 3, which need not divide
+   the segments. *)
+let blocky_case rng circuit =
+  let width = Netlist.num_inputs circuit in
+  let l = 1 + Rng.int rng 5 in
+  let fresh () = Array.init l (fun _ -> random_vector rng width) in
+  let s = fresh () in
+  let vecs =
+    if Rng.bool rng then
+      Tseq.to_array (Bist_core.Ops.expand ~n:(2 + Rng.int rng 4) (Tseq.of_vectors s))
+    else
+      Array.concat
+        (List.concat
+           (List.init (1 + Rng.int rng 4) (fun _ ->
+                let b =
+                  match Rng.int rng 3 with
+                  | 0 -> s
+                  | 1 -> Array.map Vector.complement s
+                  | _ -> fresh ()
+                in
+                List.init (1 + Rng.int rng 5) (fun _ -> b))))
+  in
+  let vecs =
+    Array.map (fun v -> if Rng.int rng 6 = 0 then random_vector rng width else v) vecs
+  in
+  let block = match Rng.int rng 4 with 0 | 1 -> l | 2 -> 1 | _ -> 1 + Rng.int rng (l + 3) in
+  (Tseq.of_vectors vecs, block)
+
+let show_blocky seq block =
+  Printf.sprintf "block %d, %d vectors" block (Tseq.length seq)
+
+(* Oracle (a): with a block length, every group jumps the blocks in
+   which all its lanes recur, on a pool of width 1, 2 or 4; the times
+   must be the full-sweep loop's, which never jumps. *)
+let blocks_vs_packed_property =
+  Testutil.qcheck
+    (QCheck.Test.make ~name:"ppsfp with a block length == packed (repeated blocks, X)"
+       ~count:60 Testutil.circuit_and_seq
+       (fun (cseed, sseed, len) ->
+         let circuit = Testutil.small_circuit cseed in
+         let universe = Universe.collapsed circuit in
+         let seq, block = blocky_case (Rng.create sseed) circuit in
+         let pool = [| pool1; pool2; pool4 |].(len mod 3) in
+         let want = Testutil.packed_det_times universe seq in
+         let got = (Fsim.run ~pool ~block universe seq).Fsim.det_time in
+         want = got
+         || QCheck.Test.fail_reportf "%s: Fsim.run ~block differs from packed"
+              (show_blocky seq block)))
+
+(* Oracle (b): the single-fault path with a block length answers as it
+   does without one, fault by fault, on one [single] per fault that sees
+   both calls. *)
+let single_blocks_property =
+  Testutil.qcheck
+    (QCheck.Test.make
+       ~name:"single with a block length == without (repeated blocks, X)" ~count:40
+       Testutil.circuit_and_seq
+       (fun (cseed, sseed, _) ->
+         let circuit = Testutil.small_circuit cseed in
+         let universe = Universe.collapsed circuit in
+         let seq, block = blocky_case (Rng.create sseed) circuit in
+         let bad =
+           List.filter
+             (fun id ->
+               let single = Fsim.single circuit (Universe.get universe id) in
+               let plain = Fsim.single_detection_time single seq in
+               Fsim.single_detection_time ~block single seq <> plain)
+             (List.init (Universe.size universe) Fun.id)
+         in
+         bad = []
+         || QCheck.Test.fail_reportf "%s: faults %s differ" (show_blocky seq block)
+              (String.concat " " (List.map string_of_int bad))))
+
+(* Oracle (c): the trace of an expansion, given its block length, copies
+   the blocks whose inputs and entry state repeat; every node at every
+   step must still be Seq_sim's. One random S per circuit, n = 4, and
+   the copies must really happen. *)
+let test_sweep_expansions () =
+  let copies = ref 0 in
+  List.iter
+    (fun (entry : Bist_bench.Registry.entry) ->
+      if entry.name <> "x35932" then begin
+        let circuit = entry.circuit () in
+        let l = if entry.name = "x5378" then 2 else 4 in
+        let s = seq_for circuit ~seed:57 ~len:l in
+        let seq = Bist_core.Ops.expand ~n:4 s in
+        let sim = Ppsfp.create circuit in
+        let tr = Ppsfp.trace sim seq in
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s: trace == Seq_sim on an expansion, block %d" entry.name l)
+          []
+          (sweep_mismatches ~block:l sim tr seq);
+        copies := !copies + Ppsfp.trace_copies tr
+      end)
+    (Bist_bench.Registry.all ());
+  Alcotest.(check bool) (Printf.sprintf "%d rows copied" !copies) true (!copies > 0)
+
+let sweep_blocks_property =
+  Testutil.qcheck
+    (QCheck.Test.make ~name:"trace with a block length == Seq_sim (repeated blocks, X)"
+       ~count:60 Testutil.circuit_and_seq
+       (fun (cseed, sseed, _) ->
+         let circuit = Testutil.small_circuit cseed in
+         let seq, block = blocky_case (Rng.create sseed) circuit in
+         let sim = Ppsfp.create circuit in
+         match sweep_mismatches ~block sim (Ppsfp.trace sim seq) seq with
+         | [] -> true
+         | bad ->
+           QCheck.Test.fail_reportf "%s: %s" (show_blocky seq block)
+             (String.concat ", " bad)))
+
+(* A fault's detection time does not depend on the faults that share
+   its group: the full-sweep loop over a random permutation of random
+   targets, cut into groups of random sizes up to 62, must give
+   [Fsim.run]'s times, whose groups follow the locality order. *)
+let group_composition_property =
+  Testutil.qcheck
+    (QCheck.Test.make ~name:"detection times do not depend on group composition"
+       ~count:40 Testutil.circuit_and_seq
+       (fun (cseed, sseed, len) ->
+         let circuit = Testutil.small_circuit cseed in
+         let universe = Universe.collapsed circuit in
+         let rng = Rng.create sseed in
+         let seq =
+           Tseq.of_vectors
+             (Array.init len (fun _ -> random_vector rng (Netlist.num_inputs circuit)))
+         in
+         let targets = Bist_util.Bitset.create (Universe.size universe) in
+         Universe.iter (fun id _ -> if Rng.int rng 4 > 0 then Bist_util.Bitset.add targets id)
+           universe;
+         let ids = Array.of_list (Bist_util.Bitset.elements targets) in
+         let ids = Array.map (fun i -> ids.(i)) (Rng.permutation rng (Array.length ids)) in
+         let rec cut left =
+           if left = 0 then [] else
+             let size = 1 + Rng.int rng (min 62 left) in
+             size :: cut (left - size)
+         in
+         let sizes = cut (Array.length ids) in
+         let want = Testutil.packed_det_times ~ids ~sizes universe seq in
+         want = (Fsim.run ~pool:pool1 ~targets universe seq).Fsim.det_time
+         || QCheck.Test.fail_reportf "groups of %s"
+              (String.concat "," (List.map string_of_int sizes))))
+
+(* The locality order, rebuilt by a plain recursive walk: ranks from a
+   depth-first postorder from the primary outputs through fanins, then
+   the unreached nodes in id order; faults stably sorted by the rank of
+   their site (a pin fault's site is its gate). *)
+let reference_order universe =
+  let circuit = Universe.circuit universe in
+  let n = Netlist.size circuit in
+  let rank = Array.make n (-1) and seen = Array.make n false and count = ref 0 in
+  let number v =
+    rank.(v) <- !count;
+    incr count
+  in
+  let rec visit v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      Array.iter visit (Netlist.fanins circuit v);
+      number v
+    end
+  in
+  Array.iter visit (Netlist.outputs circuit);
+  Array.iteri (fun v r -> if r < 0 then number v) rank;
+  let site_rank id =
+    match (Universe.get universe id).Fault.site with
+    | Fault.Output v -> rank.(v)
+    | Fault.Pin { gate; _ } -> rank.(gate)
+  in
+  Array.of_list
+    (List.stable_sort
+       (fun a b -> compare (site_rank a) (site_rank b))
+       (List.init (Universe.size universe) Fun.id))
+
+let test_locality_order () =
+  List.iter
+    (fun (entry : Bist_bench.Registry.entry) ->
+      let universe = Universe.collapsed (entry.circuit ()) in
+      Alcotest.(check (array int)) (entry.name ^ ": locality order")
+        (reference_order universe) (Universe.by_rank universe))
+    (Bist_bench.Registry.all ());
+  for seed = 0 to 24 do
+    let universe = Universe.full (Testutil.small_circuit (17 * seed)) in
+    Alcotest.(check (array int)) (Printf.sprintf "synthetic %d: locality order" seed)
+      (reference_order universe) (Universe.by_rank universe)
+  done
+
 let suite =
   [
     Alcotest.test_case "synthetics: ppsfp == packed at widths 1/2/4" `Slow
@@ -724,4 +922,12 @@ let suite =
     Alcotest.test_case "snapshot branch == straight run (x298)" `Quick
       (test_snapshot_replays_prefix "x298");
     forced_run_property;
+    blocks_vs_packed_property;
+    single_blocks_property;
+    Alcotest.test_case "trace == Seq_sim on expansions with copied blocks" `Quick
+      test_sweep_expansions;
+    sweep_blocks_property;
+    group_composition_property;
+    Alcotest.test_case "locality order == recursive postorder" `Quick
+      test_locality_order;
   ]

@@ -102,10 +102,12 @@ let packed_install sim fault ~lane =
 
 (* The reference fault table: first detection times of the [ids]
    (default: every fault of the universe; -1 when undetected or not
-   listed), 62 faults per pass (lane 0 is the fault-free machine), each
-   pass a full sweep of the circuit over the whole sequence. It shares no
-   code with the library's kernel: no trace, no events, no dropping. *)
-let packed_det_times ?ids universe seq =
+   listed), in passes of [sizes] consecutive ids each (default: 62, the
+   lanes beside the fault-free lane 0; the sizes must add up to the id
+   count), each pass a full sweep of the circuit over the whole sequence.
+   It shares no code with the library's kernel: no trace, no events, no
+   dropping, no skipping. *)
+let packed_det_times ?ids ?sizes universe seq =
   let faults_per_pass = 62 in
   let ids =
     match ids with
@@ -113,12 +115,18 @@ let packed_det_times ?ids universe seq =
     | None -> Array.init (Bist_fault.Universe.size universe) Fun.id
   in
   let k = Array.length ids in
+  let sizes =
+    match sizes with
+    | Some sizes -> sizes
+    | None ->
+      List.init ((k + faults_per_pass - 1) / faults_per_pass) (fun g ->
+          min faults_per_pass (k - (g * faults_per_pass)))
+  in
+  if List.fold_left ( + ) 0 sizes <> k || List.exists (fun s -> s < 1 || s > 62) sizes then
+    invalid_arg "packed_det_times: group sizes";
   let det = Array.make (Bist_fault.Universe.size universe) (-1) in
   let sim = Packed_sim.create (Bist_fault.Universe.circuit universe) in
-  let n_groups = (k + faults_per_pass - 1) / faults_per_pass in
-  for g = 0 to n_groups - 1 do
-    let base = g * faults_per_pass in
-    let group_size = min faults_per_pass (k - base) in
+  let pass base group_size =
     Packed_sim.clear_forces sim;
     Packed_sim.reset sim;
     for j = 0 to group_size - 1 do
@@ -135,8 +143,10 @@ let packed_det_times ?ids universe seq =
         done;
         live := !live land lnot newly
       end
-    done
-  done;
+    done;
+    base + group_size
+  in
+  ignore (List.fold_left pass 0 sizes : int);
   det
 
 (* Alcotest testables *)
