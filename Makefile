@@ -76,8 +76,9 @@ perf-smoke:
 	dune exec bench/main.exe -- --perf-smoke
 
 # Work gate (DESIGN.md §9): every Obs work counter of T0 generation,
-# T0 compaction and Scheme.execute at n = 4 on s27, x298, x526 and
-# x1488, and of one x5378 execute, must equal bench/work_expected.txt.
+# T0 compaction and Scheme.execute at n = 4 on s27, x298, x526, x820,
+# x1488 and x641, and of one x5378 execute, must equal
+# bench/work_expected.txt.
 # The counts depend on neither the host nor --jobs, so the gate can fail
 # on a one-core host. A change that moves them regenerates the file
 # (dune exec bench/main.exe -- --work > bench/work_expected.txt) and

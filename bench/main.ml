@@ -391,8 +391,9 @@ let perf_smoke ~jobs path =
   print_endline "perf-smoke: PASS"
 
 (* `--work`: the work gate. Every Obs counter of T0 generation, T0
-   compaction and Scheme.execute at n = 4 on s27, x298, x526 and x1488
-   (each as the experiment harness runs it, T0 from seed 2026), then of
+   compaction and Scheme.execute at n = 4 on s27, x298, x526, x820,
+   x1488 and x641 (each as the experiment harness runs it, T0 from seed
+   2026), then of
    one x5378 execute at n = 4 on a fixed 720-vector random T0 with the
    fast strategy, one "circuit counter value" line each. Every count is
    deterministic and the same at every pool width, so `make work-gate`
@@ -424,7 +425,7 @@ let run_work () =
            universe
           : Bist_core.Scheme.run);
       print name obs)
-    [ "s27"; "x298"; "x526"; "x1488" ];
+    [ "s27"; "x298"; "x526"; "x820"; "x1488"; "x641" ];
   let circuit = circuit_of "x5378" in
   let universe = Universe.collapsed circuit in
   let t0 =

@@ -133,6 +133,7 @@ let find ?(strategy = paper_strategy) ?(operators = Ops.all_operators)
         done);
   Obs.count obs ~by:!sims "proc2.simulations";
   Obs.count obs ~by:!time_units "proc2.time_units";
+  List.iter (fun (name, by) -> Obs.count obs ~by ("proc2." ^ name)) (Fsim.single_work single);
   {
     subsequence = !seq;
     ustart;

@@ -371,7 +371,21 @@ let set_block tr block =
     Bytes.fill tr.reps 0 blocks '\000'
   end
 
-let trace ?block t seq =
+(* Flip-flop codes as given to [trace ~start] and [load]: one byte per
+   flip-flop, each a trace code. *)
+let check_codes name codes n_ffs =
+  if Bytes.length codes <> n_ffs then invalid_arg (name ^ ": one code per flip-flop");
+  Bytes.iter (fun c -> if Char.code c > 2 then invalid_arg (name ^ ": code out of range")) codes
+
+let trace ?block ?start t seq =
+  let n_ffs = Array.length t.dff_d in
+  let g_state =
+    match start with
+    | None -> Array.make n_ffs 0
+    | Some codes ->
+      check_codes "Ppsfp.trace" codes n_ffs;
+      Array.init n_ffs (fun i -> Char.code (Bytes.get codes i))
+  in
   let tr =
     {
       tr_circuit = t.circuit;
@@ -382,7 +396,7 @@ let trace ?block t seq =
       block = 0;
       reps = Bytes.empty;
       copies = 0;
-      g_state = Array.make (Array.length t.dff_d) 0;
+      g_state;
       g_prog = t.prog;
       g_n_pis = t.n_pis;
       g_dff_d = t.dff_d;
@@ -526,6 +540,19 @@ let trace_ensure tr u =
     trace_step tr
   done
 
+(* The state at step [u] is row [u]'s flip-flop bytes, or, at the last
+   materialised step, the present state; a copied block leaves that
+   state where it was, as the block it copies did. *)
+let trace_state tr u codes =
+  if u < 0 || u > Tseq.length tr.seq then invalid_arg "Ppsfp.trace_state: step out of range";
+  if Bytes.length codes <> Array.length tr.g_state then
+    invalid_arg "Ppsfp.trace_state: one code per flip-flop";
+  while tr.upto < u do
+    trace_step tr
+  done;
+  if u = tr.upto then Array.iteri (fun i c -> Bytes.unsafe_set codes i (Char.unsafe_chr c)) tr.g_state
+  else Bytes.blit tr.data ((u * tr.tr_n) + tr.g_n_pis) codes 0 (Array.length tr.g_state)
+
 (* --- forces ---------------------------------------------------------- *)
 
 let check_mask mask =
@@ -654,6 +681,58 @@ let good_code t i =
   if t.stepped then
     Char.code (Bytes.unsafe_get t.trd (t.tr_base + Array.unsafe_get t.dff_d i))
   else (t.state_ones.(i) land 1) lor ((t.state_zeros.(i) land 1) lsl 1)
+
+(* --- per-lane state -------------------------------------------------- *)
+
+let load t good =
+  check_codes "Ppsfp.load" good (Array.length t.state_ones);
+  for i = 0 to Bytes.length good - 1 do
+    let c = Char.code (Bytes.unsafe_get good i) in
+    t.state_ones.(i) <- -(c land 1);
+    t.state_zeros.(i) <- -((c lsr 1) land 1)
+  done;
+  t.n_dirty <- 0;
+  t.stepped <- false;
+  rearm t
+
+(* Before the first step every flip-flop's planes are in the state
+   arrays, so a lane is set bit by bit; a flip-flop that starts to
+   deviate joins the dirty list. *)
+let load_lane t ~lane codes =
+  if lane < 1 || lane >= 63 then invalid_arg "Ppsfp.load_lane: lane";
+  if t.stepped then invalid_arg "Ppsfp.load_lane: a step ran since the last load";
+  check_codes "Ppsfp.load_lane" codes (Array.length t.state_ones);
+  let m = 1 lsl lane in
+  for i = 0 to Bytes.length codes - 1 do
+    let c = Char.code (Bytes.unsafe_get codes i) in
+    let o = t.state_ones.(i) and z = t.state_zeros.(i) in
+    let o' = if c land 1 <> 0 then o lor m else o land lnot m in
+    let z' = if c land 2 <> 0 then z lor m else z land lnot m in
+    if o' <> o || z' <> z then begin
+      if not (deviates o z) then begin
+        t.dirty.(t.n_dirty) <- i;
+        t.n_dirty <- t.n_dirty + 1
+      end;
+      t.state_ones.(i) <- o';
+      t.state_zeros.(i) <- z'
+    end
+  done
+
+(* Lane 0's codes, then the dirty flip-flops' planes for the lane's own
+   bits: a clean flip-flop is lane 0's value in every lane. *)
+let lane_state t ~lane codes =
+  if lane < 0 || lane >= 63 then invalid_arg "Ppsfp.lane_state: lane";
+  if Bytes.length codes <> Array.length t.state_ones then
+    invalid_arg "Ppsfp.lane_state: one code per flip-flop";
+  for i = 0 to Bytes.length codes - 1 do
+    Bytes.unsafe_set codes i (Char.unsafe_chr (good_code t i))
+  done;
+  if lane > 0 then
+    for k = 0 to t.n_dirty - 1 do
+      let i = t.dirty.(k) in
+      let c = ((t.state_ones.(i) lsr lane) land 1) lor (((t.state_zeros.(i) lsr lane) land 1) lsl 1) in
+      Bytes.unsafe_set codes i (Char.unsafe_chr c)
+    done
 
 (* A clean flip-flop is the broadcast of lane 0, so the state of every
    lane is lane 0's codes plus the dirty flip-flops' planes, and two

@@ -72,8 +72,13 @@ type trace
     simulator instances over the same circuit — but only within one
     domain: growth is not synchronized. *)
 
-val trace : ?block:int -> t -> Bist_logic.Tseq.t -> trace
-(** A fresh (empty) trace of [seq] for this simulator's circuit.
+val trace : ?block:int -> ?start:Bytes.t -> t -> Bist_logic.Tseq.t -> trace
+(** A fresh (empty) trace of [seq] for this simulator's circuit. The
+    fault-free machine starts all-X, or in the state [start]: one byte
+    per flip-flop, in {!Bist_circuit.Netlist.dffs} order, each a trace
+    code ([0] X, [1] One, [2] Zero; anything else is
+    [Invalid_argument]). A group started by {!load} with the same codes
+    reads this trace.
 
     With [block] (a length [l >= 1], else [Invalid_argument]), block [k]
     is steps [\[k l, (k + 1) l)]; only whole blocks count. When the
@@ -112,6 +117,12 @@ val retrace : ?from:snapshot -> ?block:int -> trace -> Bist_logic.Tseq.t -> unit
     {!trace} (default: none). Steps materialized before are discarded,
     so no simulator may be part-way through the old sequence. *)
 
+val trace_state : trace -> int -> Bytes.t -> unit
+(** [trace_state trace u codes] writes the fault-free state at step [u]
+    (before step [u] applies; [u] may be the sequence's length, the
+    state after its last step) into [codes], one trace code per
+    flip-flop. Steps before [u] are materialised first. *)
+
 val good_value : trace -> int -> Bist_circuit.Netlist.node -> Bist_logic.Ternary.t
 (** [good_value trace u node] is the fault-free value of [node] at time
     step [u], which must already be materialized (a {!step} at [u] has
@@ -141,11 +152,12 @@ val step : t -> trace -> int -> unit
     started from the same snapshot ({!retrace}[ ~from]), with one kind of
     jump allowed. Let [l] be the trace's block length and [u] a multiple
     of it: if the simulator was {!mark}ed before the step at [u - l],
-    no force changed since (no {!drop_lanes}, no force added or
-    cleared), and {!recurs} holds after the step at [u - 1], then the
-    next step may be [u + repeats trace u]. Each skipped block would
-    replay the block before it in every lane, so it would detect
-    nothing and leave every lane's state as it is. Raises
+    no force was added or cleared since (lanes may have been dropped),
+    and {!recurs} holds after the step at [u - 1], then the next step
+    may be [u + repeats trace u]. Each skipped block would replay the
+    block before it in every lane still forced, and a dropped lane is a
+    copy of lane 0, so it would detect nothing new and leave every
+    lane's state as it is. Raises
     [Invalid_argument] if the trace belongs to a different circuit or
     [u] is out of range. *)
 
@@ -170,6 +182,30 @@ val restore_state : t -> snapshot -> unit
 (** Put back the flip-flop state of every lane, and re-arm event mode
     as {!reset} does. Forces stay installed. The directed search branches
     many candidate suffixes off one simulated prefix this way. *)
+
+(** {2 Per-lane state}
+
+    A lane's flip-flop state is one trace code per flip-flop, in
+    {!Bist_circuit.Netlist.dffs} order: the form a fault simulator
+    stores to start a fault again later, in any lane of any group
+    ({!Bist_fault.Fsim.frontier}). *)
+
+val load : t -> Bytes.t -> unit
+(** Put every lane's flip-flops in the state given by the codes, and
+    re-arm event mode as {!reset} does; forces stay installed. The
+    first step then reads a trace started from the same codes
+    ({!trace}[ ~start]). *)
+
+val load_lane : t -> lane:int -> Bytes.t -> unit
+(** After {!load} and before the first step, put one lane (1..62) in the
+    state given by the codes; the other lanes keep theirs. Each lane may
+    be loaded once per {!load}. Raises [Invalid_argument] if a step ran
+    since the last load. *)
+
+val lane_state : t -> lane:int -> Bytes.t -> unit
+(** Write the present flip-flop state of a lane (0..62; lane 0 is the
+    fault-free machine) into the codes. Costs one pass over the
+    flip-flops plus one over the flip-flops whose state deviates. *)
 
 val state_diff_count : t -> lane:int -> int
 (** Flip-flops whose present state in [lane] (1..62) is the binary

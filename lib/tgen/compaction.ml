@@ -1,6 +1,7 @@
 module Tseq = Bist_logic.Tseq
 module Bitset = Bist_util.Bitset
 module Fsim = Bist_fault.Fsim
+module Universe = Bist_fault.Universe
 module Obs = Bist_obs.Obs
 module Ctl = Bist_resilience.Ctl
 module Checkpoint = Bist_resilience.Checkpoint
@@ -64,6 +65,44 @@ let remove_block seq ~start ~len =
     if stop >= n then Tseq.empty (Tseq.width seq) else Tseq.sub seq ~lo:stop ~hi:(n - 1)
   else if stop >= n then Tseq.sub seq ~lo:0 ~hi:(start - 1)
   else Tseq.concat (Tseq.sub seq ~lo:0 ~hi:(start - 1)) (Tseq.sub seq ~lo:stop ~hi:(n - 1))
+
+(* [seq] from step [b] on. *)
+let suffix seq b =
+  let n = Tseq.length seq in
+  if b = 0 then seq
+  else if b >= n then Tseq.empty (Tseq.width seq)
+  else Tseq.sub seq ~lo:b ~hi:(n - 1)
+
+(* The frontier store of one pass: the states of the current sequence at
+   some of the pass's block boundaries, positions ascending. A boundary
+   is a position [r + j * block] (j >= 1) of the grid the pass's trials
+   start on; the store keeps every [k]-th of them, for the smallest
+   power of two [k] whose frontiers together take no more bytes than
+   the fault-free trace of the current sequence, [length * nodes]. The
+   reset state at step 0 needs no storing. *)
+let store_bytes entries = List.fold_left (fun a (_, f) -> a + Fsim.frontier_bytes f) 0 entries
+
+(* The boundaries of the grid [r + j * block <= top] to store, [cost p]
+   the bytes of the frontier at [p]: none when not even one fits. *)
+let stored_boundaries ~cost ~cap ~r ~block ~top =
+  let grid =
+    List.filter (fun p -> p > 0) (List.init (((top - r) / block) + 1) (fun j -> r + (j * block)))
+  in
+  let rec go k =
+    match List.filteri (fun i _ -> (i + 1) mod k = 0) grid with
+    | [] -> []
+    | picked when List.fold_left (fun a p -> a + cost p) 0 picked <= cap -> picked
+    | _ -> go (2 * k)
+  in
+  go 1
+
+(* Every other entry, from the first, until the store fits. *)
+let rec thin entries ~cap =
+  if store_bytes entries <= cap then entries
+  else
+    match entries with
+    | [] | [ _ ] -> []
+    | _ -> thin (List.filteri (fun i _ -> i mod 2 = 0) entries) ~cap
 
 let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
     ?resume universe seq =
@@ -141,23 +180,92 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
       initial_length;
     }
   in
+  let nodes = Bist_circuit.Netlist.size (Universe.circuit universe) in
+  let cap () = Tseq.length !current * nodes in
+  let store = ref [] and peak = ref 0 and rejoined = ref 0 in
+  (* The pass's frontiers, recorded by one simulation of [!current] on
+     the must-detect faults; the store derives from the sequence and
+     [det] alone, so a resumed pass records the same one. *)
+  let record_store () =
+    let len = Tseq.length !current and b = !block in
+    let held = Array.make (len + 2) 0 in
+    Bitset.iter (fun id -> held.(det.(id)) <- held.(det.(id)) + 1) must_detect;
+    for p = len - 1 downto 0 do
+      held.(p) <- held.(p) + held.(p + 1)
+    done;
+    let positions =
+      stored_boundaries
+        ~cost:(fun p -> Fsim.frontier_cost universe ~faults:held.(p))
+        ~cap:(cap ()) ~r:(!start mod b) ~block:b ~top:(len - b)
+    in
+    if positions <> [] then begin
+      let record = Array.of_list positions in
+      let o =
+        Obs.span obs ~cat:"compaction" "compaction.record" (fun () ->
+            Fsim.run ~obs ?pool ?ctl ~targets:must_detect ~record universe !current)
+      in
+      store := List.mapi (fun i p -> (p, o.Fsim.frontiers.(i))) positions;
+      peak := max !peak (store_bytes !store)
+    end
+  in
   (* Two-stage check: the cheap sampled rejection filter first, the
      full target set only when the sample survives. The candidate keeps
      the prefix [0, start) of [!current], so every fault detected before
      [start] is detected at the same step; both stages simulate only the
-     faults detected at or after [start]. On success the simulated
-     faults' detection times in the candidate are copied into [det]. *)
+     faults detected at or after [start], from the stored frontier
+     nearest below [start] (or from reset). From [start] on the candidate
+     replays [!current] one block later, so a fault whose state, and the
+     fault-free state, equal [!current]'s one block later at a stored
+     boundary, which [!current] had not detected before, is detected
+     exactly one block earlier than in [!current] and retires there
+     ({!Fsim.rejoin}). On success the simulated faults' detection times
+     in the candidate are copied into [det], and the store's boundaries
+     above [start] move down one block: each takes the faults the
+     candidate still simulated there from the full check's recording,
+     and the rejoined ones from the boundary one block up. *)
   let keeps_coverage candidate ~start =
+    let b = !block in
     let late = detected_from det must_detect start in
     let late_sample = detected_from det must_sample start in
-    let simulate targets = Fsim.run ~obs ?pool ?ctl ~targets universe candidate in
+    let below = List.filter (fun (p, _) -> p <= start) !store in
+    let from = List.fold_left (fun _ (_, f) -> Some f) None below in
+    let base = match from with Some f -> Fsim.frontier_step f | None -> 0 in
+    let above = List.filter (fun (p, _) -> p >= start + b && p < Tseq.length !current) !store in
+    let rejoin =
+      if above = [] then None
+      else
+        Some { Fsim.states = Array.of_list (List.map snd above); shift = b; det_time = det }
+    in
+    let tail = suffix candidate base in
+    let simulate ?record targets =
+      let o = Fsim.run ~obs ?pool ?ctl ~targets ?from ?record ?rejoin universe tail in
+      rejoined := !rejoined + o.Fsim.rejoined;
+      o
+    in
     let full_check () =
-      Bitset.is_empty late
-      ||
-      let o = simulate late in
-      Bitset.subset late o.Fsim.detected
-      && (Bitset.iter (fun id -> det.(id) <- o.Fsim.det_time.(id)) late;
-          true)
+      if Bitset.is_empty late then begin
+        (* Nothing simulated: the boundaries above [start] go. *)
+        store := below;
+        true
+      end
+      else begin
+        let moved = List.filter (fun (p, _) -> p >= start + (2 * b)) above in
+        let record = Array.of_list (List.map (fun (p, _) -> p - b) moved) in
+        let o = simulate ~record late in
+        Bitset.subset late o.Fsim.detected
+        && begin
+          Bitset.iter (fun id -> det.(id) <- o.Fsim.det_time.(id)) late;
+          let shifted =
+            List.mapi
+              (fun i (p, old) ->
+                let q = p - b in
+                (q, Fsim.frontier_union o.Fsim.frontiers.(i) old ~keep:(fun id -> det.(id) >= q)))
+              moved
+          in
+          store := below @ shifted;
+          true
+        end
+      end
     in
     (* A sample as large as the late set is the late set: one stage. *)
     if Bitset.cardinal late_sample = Bitset.cardinal late then full_check ()
@@ -177,14 +285,18 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
           ("accepted", string_of_int (!accepted - pass_accepted));
           ("length", string_of_int (Tseq.length !current)) ])
       (fun () ->
+        store := [];
+        (match if !start >= 0 && not (Bitset.is_empty must_detect) then record_store () with
+        | () -> ()
+        | exception Ctl.Preempted _ -> raise (Interrupted (trial_snapshot ())));
         while !start >= 0 && !trials < max_trials do
           (match ctl with
           | Some c when Ctl.stop_reason c <> None ->
             raise (Interrupted (trial_snapshot ()))
           | _ -> ());
-          (* A trial mutates [current] and [det] only after its
-             simulations, so a [Preempted] escaping mid-trial rewinds to
-             the trial entry by restoring the counter. *)
+          (* A trial mutates [current], [det] and the store only after
+             its simulations, so a [Preempted] escaping mid-trial rewinds
+             to the trial entry by restoring the counter. *)
           let trials_entry = !trials in
           (try
              let candidate = remove_block !current ~start:!start ~len:!block in
@@ -192,7 +304,9 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
              if Tseq.length candidate > 0 && keeps_coverage candidate ~start:!start
              then begin
                incr accepted;
-               current := candidate
+               current := candidate;
+               store := thin !store ~cap:(cap ());
+               peak := max !peak (store_bytes !store)
              end;
              committed ()
            with Ctl.Preempted _ ->
@@ -205,6 +319,8 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
   done;
   Obs.count obs ~by:!trials "compaction.trials";
   Obs.count obs ~by:!accepted "compaction.accepted";
+  Obs.count obs ~by:!rejoined "compaction.rejoined";
+  Obs.gauge obs "compaction.frontier_bytes" (float_of_int !peak);
   ( !current,
     {
       trials = !trials;

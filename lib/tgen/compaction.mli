@@ -14,9 +14,26 @@
     run keeps each must-detect fault's detection time in the current
     sequence and re-simulates only the faults detected at or after
     [start]; a resumed run recomputes those times with one simulation of
-    the snapshot's sequence. The trials, the accepted omissions and the
-    result are those of re-simulating every must-detect fault on every
-    trial.
+    the snapshot's sequence.
+
+    Those faults start from a frontier ({!Bist_fault.Fsim.frontier}):
+    each pass records, with one simulation, the current sequence's
+    states at every k-th boundary of its block grid, k the smallest
+    power of two that keeps the stored frontiers within the current
+    sequence's fault-free trace ([length * nodes] bytes), and a trial
+    loads its faults from the stored boundary nearest below [start]
+    (or starts from reset). From [start] on the candidate replays the
+    current sequence one block later, so at each stored boundary
+    [q + block] a fault whose state, and the fault-free state, equal
+    the current sequence's there, and which the current sequence had
+    not detected before [q + block], is detected exactly [block] steps
+    earlier than in the current sequence: it retires at [q] with that
+    time ({!Bist_fault.Fsim.rejoin}). An accepted trial moves the stored
+    boundaries above [start] down one block, rebuilding them from its
+    own recording and the rejoined faults' states one block up.
+
+    The trials, the accepted omissions and the result are those of
+    re-simulating every must-detect fault from reset on every trial.
 
     The result never detects fewer faults than the input sequence, and
     its detected set is a superset of the input's. *)
@@ -77,7 +94,11 @@ val compact :
     must-detect simulation (["compaction.resume"] for a resumed run's
     recomputation) and one ["compaction.pass"] span per block
     granularity, whose args (evaluated when the pass ends) report the
-    block size, trials, accepted omissions and resulting length. *)
+    block size, trials, accepted omissions and resulting length, with
+    the pass's ["compaction.record"] simulation inside. It counts
+    ["compaction.trials"], ["compaction.accepted"] and
+    ["compaction.rejoined"] (faults retired by rejoining) and sets the
+    gauge ["compaction.frontier_bytes"] to the store's peak size. *)
 
 val encode_snapshot : Bist_resilience.Checkpoint.Io.writer -> snapshot -> unit
 val decode_snapshot : Bist_resilience.Checkpoint.Io.reader -> snapshot

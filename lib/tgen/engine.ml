@@ -209,6 +209,39 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
   let committed () =
     match ctl with None -> () | Some c -> Ctl.note_progress c
   in
+  (* From the re-baseline on, no fault of [remaining] is detected by
+     [t0], so a fault simulation of [t0 ++ seg] on (a subset of)
+     [remaining] detects what one of [seg] alone does when it starts
+     from the states at the end of [t0]. [frontier] holds those states:
+     recorded by the re-baseline run and by every accepted segment's
+     run after it, or, on a resumed run, recomputed with one simulation
+     of [t0] that commits nothing. *)
+  let frontier = ref None in
+  let end_frontier () =
+    match !frontier with
+    | Some f -> f
+    | None ->
+      let o =
+        Obs.span obs ~cat:"engine" "engine.resume_frontier" (fun () ->
+            Fsim.run ~obs ?pool ?ctl ~targets:remaining
+              ~record:[| Tseq.length !t0 |] universe !t0)
+      in
+      frontier := Some o.Fsim.frontiers.(0);
+      o.Fsim.frontiers.(0)
+  in
+  (* Append [seg] to [t0]: simulate it from the end of [t0] on the
+     remaining faults, drop the ones it detects, and keep the states at
+     the new end. *)
+  let accept seg =
+    let full = Tseq.concat !t0 seg in
+    let outcome =
+      Fsim.run ~obs ?pool ?ctl ~targets:remaining ~from:(end_frontier ())
+        ~record:[| Tseq.length full |] universe seg
+    in
+    t0 := full;
+    frontier := Some outcome.Fsim.frontiers.(0);
+    Bitset.diff_into remaining outcome.Fsim.detected
+  in
   (* One greedy phase: propose candidates, score them on (a sample of)
      the remaining faults, keep the best, update the remaining set with a
      full re-simulation of the accepted segment. [embed] controls whether
@@ -222,9 +255,9 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
       let best = ref None in
       for _ = 1 to candidates_per_round do
         let seg = candidate config rng ~width in
-        let scored = if embed then Tseq.concat !t0 seg else seg in
+        let from = if embed then Some (end_frontier ()) else None in
         let outcome =
-          Fsim.run ~obs ?pool ?ctl ~targets:eval_targets universe scored
+          Fsim.run ~obs ?pool ?ctl ~targets:eval_targets ?from universe seg
         in
         let gain = Bitset.cardinal outcome.Fsim.detected in
         match !best with
@@ -235,13 +268,12 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
       | None -> None
       | Some (gain, seg) ->
         incr accepted;
-        let full = Tseq.concat !t0 seg in
-        let scored = if embed then full else seg in
-        let outcome =
-          Fsim.run ~obs ?pool ?ctl ~targets:remaining universe scored
-        in
-        t0 := full;
-        Bitset.diff_into remaining outcome.Fsim.detected;
+        if embed then accept seg
+        else begin
+          let outcome = Fsim.run ~obs ?pool ?ctl ~targets:remaining universe seg in
+          t0 := Tseq.concat !t0 seg;
+          Bitset.diff_into remaining outcome.Fsim.detected
+        end;
         Some gain
     in
     let fruitless = ref fruitless0 in
@@ -292,13 +324,14 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
     poll_or_interrupt ~phase:Rebaseline ~fruitless:0;
     match
       Obs.span obs ~cat:"engine" "engine.rebaseline" (fun () ->
-          Fsim.run ~obs ?pool ?ctl universe !t0)
+          Fsim.run ~obs ?pool ?ctl ~record:[| Tseq.length !t0 |] universe !t0)
     with
     | embedded ->
       Bitset.clear remaining;
       Bitset.fill remaining;
       Bitset.diff_into remaining untestable;
       Bitset.diff_into remaining embedded.Fsim.detected;
+      frontier := Some embedded.Fsim.frontiers.(0);
       committed ()
     | exception Ctl.Preempted _ -> interrupt ~phase:Rebaseline ~fruitless:0 ~rng
   end;
@@ -353,13 +386,7 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
               | None -> ()
               | Some seg ->
                 incr accepted;
-                let full = Tseq.concat !t0 seg in
-                let detected =
-                  (Fsim.run ~obs ?pool ?ctl ~targets:remaining universe full)
-                    .Fsim.detected
-                in
-                t0 := full;
-                Bitset.diff_into remaining detected);
+                accept seg);
               committed ()
             with Ctl.Preempted _ ->
               attempts := attempts_entry;
@@ -439,13 +466,7 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
               | Bist_sat.Satgen.Test seg ->
                 incr sat_tests;
                 incr accepted;
-                let full = Tseq.concat !t0 seg in
-                let detected =
-                  (Fsim.run ~obs ?pool ?ctl ~targets:remaining universe full)
-                    .Fsim.detected
-                in
-                t0 := full;
-                Bitset.diff_into remaining detected
+                accept seg
               | Bist_sat.Satgen.Unknown -> ());
               committed ()
             with Ctl.Preempted _ ->

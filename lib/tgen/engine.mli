@@ -12,7 +12,15 @@
     Because three-valued gate functions are monotone in the information
     order, a fault detected by a segment simulated from the all-X state is
     also detected when the segment runs embedded in the concatenated
-    [T0] — so coverage only grows as segments are appended. *)
+    [T0] — so coverage only grows as segments are appended.
+
+    From the re-baseline on, no remaining fault is detected by [T0], so
+    the engine keeps [T0]'s end state as a frontier
+    ({!Bist_fault.Fsim.frontier}) and simulates each embedded candidate,
+    and each embedded, directed or SAT-tail segment it accepts, over the
+    segment alone from there; the accepting run records the next
+    frontier. The result is the one of simulating [T0 ++ seg] from
+    reset. *)
 
 type config = {
   segment_length : int;  (** Vectors per candidate segment. *)
@@ -146,7 +154,10 @@ val generate :
     The snapshot must come from the same circuit and fault universe —
     a size or width disagreement raises
     {!Bist_resilience.Checkpoint.Mismatch} (callers should additionally
-    fingerprint the circuit, see [bin/bistgen]).
+    fingerprint the circuit, see [bin/bistgen]). Snapshots carry no
+    frontier: a run resumed after the re-baseline recomputes [T0]'s end
+    state with one simulation (span ["engine.resume_frontier"]) that
+    commits nothing.
 
     [obs] (default {!Bist_obs.Obs.null}, one branch of overhead) records
     ["engine.prescreen"], two ["engine.selection"] spans (standalone and

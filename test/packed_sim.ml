@@ -368,3 +368,11 @@ let po_value t i =
 let po_diff_lanes t = t.diff_lanes
 
 let node_value t n = P.make ~ones:t.ones.(n) ~zeros:t.zeros.(n)
+
+let lane_state t ~lane =
+  if lane < 0 || lane >= 63 then invalid_arg "Packed_sim.lane_state: lane";
+  Array.init (Array.length t.state_ones) (fun i ->
+      match ((t.state_ones.(i) lsr lane) land 1, (t.state_zeros.(i) lsr lane) land 1) with
+      | 1, 0 -> T.One
+      | 0, 1 -> T.Zero
+      | _ -> T.X)

@@ -72,3 +72,7 @@ val state_diff_lanes : t -> int
 val state_diff_count : t -> lane:int -> int
 (** Number of flip-flops whose current state in the given lane is the
     binary complement of lane 0's. *)
+
+val lane_state : t -> lane:int -> Bist_logic.Ternary.t array
+(** The present flip-flop state of one lane (0..62), one value per
+    flip-flop in {!Bist_circuit.Netlist.dffs} order. *)

@@ -282,7 +282,39 @@ let test_lane0_reserved_and_validation () =
   let tr2 = Ppsfp.trace other seq2 in
   Alcotest.check_raises "trace/circuit mismatch"
     (Invalid_argument "Ppsfp.step: trace belongs to a different circuit")
-    (fun () -> Ppsfp.step sim tr2 0)
+    (fun () -> Ppsfp.step sim tr2 0);
+  (* Per-lane state and frontiers. s27 has three flip-flops. *)
+  Alcotest.check_raises "load: one code per flip-flop"
+    (Invalid_argument "Ppsfp.load: one code per flip-flop")
+    (fun () -> Ppsfp.load sim (Bytes.make 2 '\000'));
+  Alcotest.check_raises "load: code out of range"
+    (Invalid_argument "Ppsfp.load: code out of range")
+    (fun () -> Ppsfp.load sim (Bytes.make 3 '\003'));
+  Ppsfp.load sim (Bytes.make 3 '\001');
+  Ppsfp.step sim (Ppsfp.trace ~start:(Bytes.make 3 '\001') sim seq) 0;
+  Alcotest.check_raises "load_lane after a step"
+    (Invalid_argument "Ppsfp.load_lane: a step ran since the last load")
+    (fun () -> Ppsfp.load_lane sim ~lane:1 (Bytes.make 3 '\002'));
+  let universe = Universe.collapsed circuit in
+  let seq = seq_for circuit ~seed:1 ~len:16 in
+  let outcome = Fsim.run ~record:[| 8 |] universe seq in
+  let from = outcome.Fsim.frontiers.(0) in
+  let suffix = Tseq.sub seq ~lo:8 ~hi:15 in
+  Alcotest.check_raises "record steps ascending"
+    (Invalid_argument "Fsim.run ~record: steps not ascending")
+    (fun () -> ignore (Fsim.run ~record:[| 2; 1 |] universe seq : Fsim.outcome));
+  Alcotest.check_raises "record step outside the run"
+    (Invalid_argument "Fsim.run: record step outside the run")
+    (fun () -> ignore (Fsim.run ~from ~record:[| 1 |] universe suffix : Fsim.outcome));
+  Alcotest.check_raises "block with record"
+    (Invalid_argument "Fsim.run: a block length with record or rejoin")
+    (fun () -> ignore (Fsim.run ~block:2 ~record:[| 1 |] universe seq : Fsim.outcome));
+  let detected = Bist_util.Bitset.create (Universe.size universe) in
+  Array.iteri (fun id d -> if d >= 0 && d < 8 then Bist_util.Bitset.add detected id) outcome.Fsim.det_time;
+  if Bist_util.Bitset.is_empty detected then Alcotest.fail "s27: expected a detection before step 8";
+  Alcotest.check_raises "targets the frontier does not hold"
+    (Invalid_argument "Fsim.run: target not held by the frontier")
+    (fun () -> ignore (Fsim.run ~from ~targets:detected universe suffix : Fsim.outcome))
 
 (* --- the fault-free sweep ---------------------------------------------- *)
 
@@ -888,6 +920,147 @@ let test_locality_order () =
       (reference_order universe) (Universe.by_rank universe)
   done
 
+(* --- frontier states ------------------------------------------------------ *)
+
+module Bitset = Bist_util.Bitset
+
+(* Lane 0 and every fault of [ids] after [upto] steps of [seq] on the
+   full-sweep oracle, 62-fault groups from reset: no trace, no events,
+   no dropping. *)
+let packed_states universe seq ~ids ~upto =
+  let sim = Packed_sim.create (Universe.circuit universe) in
+  let states = Hashtbl.create 64 and good = ref [||] in
+  let k = Array.length ids in
+  let base = ref 0 in
+  while !base = 0 || !base < k do
+    let size = min 62 (k - !base) in
+    Packed_sim.clear_forces sim;
+    Packed_sim.reset sim;
+    for j = 0 to size - 1 do
+      Testutil.packed_install sim (Universe.get universe ids.(!base + j)) ~lane:(j + 1)
+    done;
+    for u = 0 to upto - 1 do
+      Packed_sim.step sim (Tseq.get seq u)
+    done;
+    good := Packed_sim.lane_state sim ~lane:0;
+    for j = 0 to size - 1 do
+      Hashtbl.replace states ids.(!base + j) (Packed_sim.lane_state sim ~lane:(j + 1))
+    done;
+    base := !base + max 1 size
+  done;
+  (!good, states)
+
+let tail seq u =
+  if u >= Tseq.length seq then Tseq.empty (Tseq.width seq)
+  else Tseq.sub seq ~lo:u ~hi:(Tseq.length seq - 1)
+
+let x_seq rng circuit len =
+  Tseq.of_vectors (Array.init len (fun _ -> random_vector rng (Netlist.num_inputs circuit)))
+
+let same_frontier a b =
+  Fsim.frontier_step a = Fsim.frontier_step b
+  && Fsim.frontier_faults a = Fsim.frontier_faults b
+  && Fsim.frontier_good a = Fsim.frontier_good b
+  && Array.for_all (fun id -> Fsim.frontier_state a id = Fsim.frontier_state b id)
+       (Fsim.frontier_faults a)
+
+(* Oracle (a): the frontier a run records at step u holds exactly the
+   targets it has not detected before u, in the Packed_sim lane states;
+   a run from that frontier over the suffix gives the straight run's
+   times, in the straight run's steps, with or without a block length,
+   and records the straight run's frontier at a later step v. Random
+   targets, X inputs, pool width 1, 2 or 4. *)
+let frontier_property =
+  Testutil.qcheck
+    (QCheck.Test.make ~name:"frontier at u, then run ~from on the suffix == straight run"
+       ~count:60 Testutil.circuit_and_seq
+       (fun (cseed, sseed, len) ->
+         let circuit = Testutil.small_circuit cseed in
+         let universe = Universe.collapsed circuit in
+         let rng = Rng.create sseed in
+         let seq = x_seq rng circuit len in
+         let n = Universe.size universe in
+         let targets = Bitset.create n in
+         for id = 0 to n - 1 do
+           if Rng.int rng 4 > 0 then Bitset.add targets id
+         done;
+         let u = Rng.int rng (len + 1) in
+         let v = u + Rng.int rng (len - u + 1) in
+         let pool = [| pool1; pool2; pool4 |].(Rng.int rng 3) in
+         let record = if u = v then [| u |] else [| u; v |] in
+         let straight = Fsim.run ~pool ~targets ~record universe seq in
+         let fu = straight.Fsim.frontiers.(0) in
+         let fv = straight.Fsim.frontiers.(Array.length record - 1) in
+         let held = Fsim.frontier_faults fu in
+         let want_held =
+           List.filter
+             (fun id -> Bitset.mem targets id && not (straight.Fsim.det_time.(id) >= 0 && straight.Fsim.det_time.(id) < u))
+             (List.init n Fun.id)
+         in
+         let held_set = Bitset.create n in
+         Array.iter (Bitset.add held_set) held;
+         let resumed = Fsim.run ~pool ~targets:held_set ~from:fu ~record:[| v |] universe (tail seq u) in
+         let block = 1 + Rng.int rng 4 in
+         let blocked = Fsim.run ~pool ~targets:held_set ~from:fu ~block universe (tail seq u) in
+         let good, states = packed_states universe seq ~ids:held ~upto:u in
+         let fail what =
+           QCheck.Test.fail_reportf "u = %d, v = %d, %d held: %s" u v (Array.length held) what
+         in
+         if Array.to_list held <> want_held then fail "held set"
+         else if Array.exists (fun id -> resumed.Fsim.det_time.(id) <> straight.Fsim.det_time.(id)) held
+         then fail "times from the frontier"
+         else if blocked.Fsim.det_time <> resumed.Fsim.det_time then
+           fail (Printf.sprintf "times from the frontier with block length %d" block)
+         else if Fsim.frontier_good fu <> good then fail "fault-free state"
+         else if Array.exists (fun id -> Fsim.frontier_state fu id <> Hashtbl.find states id) held
+         then fail "fault states"
+         else same_frontier resumed.Fsim.frontiers.(0) fv || fail "frontier recorded from the frontier"))
+
+(* Oracle (a'): the rejoin rule. R runs on S and records its frontiers;
+   the candidate is S without the block [start, start + b). From R's
+   frontier at start, with R's frontiers after start + b as rejoin
+   points (shift b), every fault R still held at start gets the time
+   the full-sweep loop gives it on the whole candidate. *)
+let rejoin_property =
+  Testutil.qcheck
+    (QCheck.Test.make ~name:"rejoining R one block later retires with R's time - block"
+       ~count:60 Testutil.circuit_and_seq
+       (fun (cseed, sseed, len) ->
+         let circuit = Testutil.small_circuit cseed in
+         let universe = Universe.collapsed circuit in
+         let rng = Rng.create sseed in
+         let len = len + 4 in
+         let seq = x_seq rng circuit len in
+         let b = 1 + Rng.int rng (len / 3) in
+         let start = Rng.int rng (len - b) in
+         let candidate =
+           Tseq.of_vectors
+             (Array.init (len - b) (fun i -> Tseq.get seq (if i < start then i else i + b)))
+         in
+         let pool = [| pool1; pool2; pool4 |].(Rng.int rng 3) in
+         let record = Array.init (len - start) (fun i -> start + i) in
+         let r = Fsim.run ~pool ~record universe seq in
+         let points =
+           Array.of_list
+             (List.filter (fun f -> Fsim.frontier_step f >= start + b) (Array.to_list r.Fsim.frontiers))
+         in
+         let from = r.Fsim.frontiers.(0) in
+         let late = Bitset.create (Universe.size universe) in
+         Array.iter (Bitset.add late) (Fsim.frontier_faults from);
+         let got =
+           Fsim.run ~pool ~targets:late ~from
+             ~rejoin:{ Fsim.states = points; shift = b; det_time = r.Fsim.det_time }
+             universe (tail candidate start)
+         in
+         let want = Testutil.packed_det_times universe candidate in
+         let bad =
+           List.filter (fun id -> got.Fsim.det_time.(id) <> want.(id)) (Bitset.elements late)
+         in
+         bad = []
+         || QCheck.Test.fail_reportf "block [%d, %d) of %d, %d rejoined: faults %s differ" start
+              (start + b) len got.Fsim.rejoined
+              (String.concat " " (List.map string_of_int bad))))
+
 let suite =
   [
     Alcotest.test_case "synthetics: ppsfp == packed at widths 1/2/4" `Slow
@@ -930,4 +1103,6 @@ let suite =
     group_composition_property;
     Alcotest.test_case "locality order == recursive postorder" `Quick
       test_locality_order;
+    frontier_property;
+    rejoin_property;
   ]
