@@ -412,13 +412,14 @@ let run_work () =
       let budget = Bist_harness.Experiment.budget_for circuit in
       let universe = Universe.collapsed circuit in
       let obs = Bist_obs.Obs.create () in
-      let raw, _ =
-        Bist_tgen.Engine.generate ~obs
+      let raw, _, baseline =
+        Bist_tgen.Engine.generate_with_coverage ~obs
           ~config:(Bist_harness.Experiment.tgen_config circuit budget)
           ~rng:(Bist_util.Rng.create seed) universe
       in
       let t0, _ =
-        Bist_tgen.Compaction.compact ~obs ~max_trials:budget.compaction_trials universe raw
+        Bist_tgen.Compaction.compact ~obs ~max_trials:budget.compaction_trials ~baseline
+          universe raw
       in
       ignore
         (Bist_core.Scheme.execute ~obs ~strategy:budget.strategy ~seed:(seed + n) ~n ~t0

@@ -109,6 +109,7 @@ type rejoin = { states : frontier array; shift : int; det_time : int array }
 
 type outcome = {
   universe : Universe.t;
+  sequence : Tseq.t;
   det_time : int array;
   detected : Bitset.t;
   frontiers : frontier array;
@@ -513,7 +514,7 @@ let run ?(obs = Obs.null) ?(counters = "fsim") ?pool ?ctl ?targets ?block
   Obs.count obs ~by:(Ppsfp.trace_copies tr) (name "trace_copies");
   let det_time, detected = Shard.merge ~size:n_faults (Array.map (fun (p, _, _, _) -> p) pieces) in
   let rejoined = Array.fold_left (fun a (_, _, _, r) -> a + r) 0 pieces in
-  { universe; det_time; detected; frontiers; rejoined }
+  { universe; sequence = seq; det_time; detected; frontiers; rejoined }
 
 let coverage outcome =
   float_of_int (Bitset.cardinal outcome.detected)

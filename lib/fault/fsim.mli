@@ -69,6 +69,8 @@ type rejoin = {
 
 type outcome = {
   universe : Universe.t;
+  sequence : Bist_logic.Tseq.t;
+      (** The sequence simulated: with [from], the suffix. *)
   det_time : int array;
       (** [det_time.(i)] is the first detection time of fault [i], or [-1]
           when undetected (or not a target). *)

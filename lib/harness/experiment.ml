@@ -48,9 +48,11 @@ let run_circuit ?(seed = 2026) ?budget (entry : Bist_bench.Registry.entry) =
   let universe = Universe.collapsed circuit in
   let rng = Bist_util.Rng.create seed in
   let config = tgen_config circuit budget in
-  let t0_raw, tgen_stats = Bist_tgen.Engine.generate ~config ~rng universe in
+  let t0_raw, tgen_stats, baseline =
+    Bist_tgen.Engine.generate_with_coverage ~config ~rng universe
+  in
   let t0, compaction_stats =
-    Bist_tgen.Compaction.compact ~max_trials:budget.compaction_trials universe
+    Bist_tgen.Compaction.compact ~max_trials:budget.compaction_trials ~baseline universe
       t0_raw
   in
   (* Table 4 divides by the T0 fault-simulation time, and one run of a

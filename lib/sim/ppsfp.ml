@@ -97,6 +97,12 @@ let ff_shift = 8
 let span_shift = 24
 let span_mask = (1 lsl span_shift) - 1
 
+(* Candidate lanes: candidate [k] runs its fault-free machine in lane
+   [k] and its faulty machine in lane [k + max_candidates]. *)
+let max_candidates = 31
+let good_lanes = (1 lsl max_candidates) - 1
+let faulty_lanes = good_lanes lsl max_candidates
+
 type t = {
   circuit : Netlist.t;
   n : int;
@@ -112,12 +118,12 @@ type t = {
   dff_d : int array; (* D driver per flip-flop *)
   (* flip-flop state: valid for the dirty flip-flops; a clean one is the
      broadcast of its D driver's trace byte at the last step, or, before
-     the first step after [reset]/[restore_state], these arrays *)
+     the first step after [reset]/[load], these arrays *)
   state_ones : int array;
   state_zeros : int array;
   dirty : int array; (* flip-flop indices whose state deviates *)
   mutable n_dirty : int;
-  mutable stepped : bool; (* a step ran since [reset]/[restore_state] *)
+  mutable stepped : bool; (* a group step ran since [reset]/[load] *)
   (* level buckets of scheduled nodes, slices of one array *)
   bucket : int array;
   bucket_start : int array;
@@ -166,6 +172,14 @@ type t = {
   mark_stamp : int array;
   mark_ones : int array;
   mark_zeros : int array;
+  (* candidate lanes: the batch's sequences, the next step, the
+     candidates still running and those that detected at the last
+     step, one bit each *)
+  mutable cand_seqs : Tseq.t array;
+  mutable cand_u : int;
+  mutable cand_running : int;
+  mutable cand_detected : int;
+  cand_cur : Bist_logic.Vector.t array; (* this step's vector per candidate *)
 }
 
 let create circuit =
@@ -329,6 +343,11 @@ let create circuit =
     mark_stamp = Array.make n_ffs 0;
     mark_ones = Array.make n_ffs 0;
     mark_zeros = Array.make n_ffs 0;
+    cand_seqs = [||];
+    cand_u = 0;
+    cand_running = 0;
+    cand_detected = 0;
+    cand_cur = Array.make max_candidates (Bist_logic.Vector.create 0 T.X);
   }
 
 let circuit t = t.circuit
@@ -338,8 +357,6 @@ let event_steps t = t.n_event_steps
 let po_diff_lanes t = t.diff_lanes
 
 (* --- the fault-free trace ------------------------------------------- *)
-
-type snapshot = { snap_ones : int array; snap_zeros : int array }
 
 (* With a block length [l], block [k] is steps [k * l, (k + 1) * l); only
    whole blocks count. [reps] caches, per block [k >= 1], whether its
@@ -409,20 +426,12 @@ let trace ?block ?start t seq =
 let trace_length tr = tr.upto
 let trace_copies tr = tr.copies
 
-let retrace ?from ?block tr seq =
+let retrace ?block tr seq =
   tr.seq <- seq;
   tr.upto <- 0;
   tr.copies <- 0;
   set_block tr block;
-  match from with
-  | None -> Array.fill tr.g_state 0 (Array.length tr.g_state) 0
-  | Some s ->
-    if Array.length s.snap_ones <> Array.length tr.g_state then
-      invalid_arg "Ppsfp.retrace: snapshot of a different circuit";
-    (* Lane 0 of the snapshot, as trace codes. *)
-    Array.iteri
-      (fun i o -> tr.g_state.(i) <- (o land 1) lor ((s.snap_zeros.(i) land 1) lsl 1))
-      s.snap_ones
+  Array.fill tr.g_state 0 (Array.length tr.g_state) 0
 
 let good_value tr u node =
   if u < 0 || u >= tr.upto || node < 0 || node >= tr.tr_n then
@@ -629,7 +638,9 @@ let rearm t =
   t.diff_lanes <- 0;
   t.full_mode <- false;
   t.activity.(0) <- 0.0;
-  t.marked <- false
+  t.marked <- false;
+  t.cand_running <- 0;
+  t.cand_detected <- 0
 
 let[@inline] deviates o z = o <> -(o land 1) || z <> -(z land 1)
 
@@ -640,43 +651,10 @@ let reset t =
   t.stepped <- false;
   rearm t
 
-(* Every flip-flop's packed state: the dirty ones from the state arrays,
-   a clean one as the broadcast of its D driver's byte at the last
-   step. *)
-let save_state t =
-  let o = Array.copy t.state_ones and z = Array.copy t.state_zeros in
-  if t.stepped then begin
-    for i = 0 to Array.length o - 1 do
-      let c = Char.code (Bytes.get t.trd (t.tr_base + t.dff_d.(i))) in
-      o.(i) <- -(c land 1);
-      z.(i) <- -((c lsr 1) land 1)
-    done;
-    for k = 0 to t.n_dirty - 1 do
-      let i = t.dirty.(k) in
-      o.(i) <- t.state_ones.(i);
-      z.(i) <- t.state_zeros.(i)
-    done
-  end;
-  { snap_ones = o; snap_zeros = z }
-
-let restore_state t s =
-  if Array.length s.snap_ones <> Array.length t.state_ones then
-    invalid_arg "Ppsfp.restore_state: snapshot of a different circuit";
-  Array.blit s.snap_ones 0 t.state_ones 0 (Array.length s.snap_ones);
-  Array.blit s.snap_zeros 0 t.state_zeros 0 (Array.length s.snap_zeros);
-  t.n_dirty <- 0;
-  for i = 0 to Array.length s.snap_ones - 1 do
-    if deviates s.snap_ones.(i) s.snap_zeros.(i) then begin
-      t.dirty.(t.n_dirty) <- i;
-      t.n_dirty <- t.n_dirty + 1
-    end
-  done;
-  t.stepped <- false;
-  rearm t
-
 (* Lane 0's present-state code of flip-flop [i]: its D driver's byte at
-   the last step, or, before the first step after [reset] or
-   [restore_state], lane 0 of the state arrays. *)
+   the last step, or, before the first group step after [reset] or
+   [load] (and in candidate mode, which steps no group), lane 0 of the
+   state arrays. *)
 let good_code t i =
   if t.stepped then
     Char.code (Bytes.unsafe_get t.trd (t.tr_base + Array.unsafe_get t.dff_d i))
@@ -768,20 +746,6 @@ let recurs t =
     || (Char.code (Bytes.unsafe_get t.mark_good i) = good_code t i && good_same (i + 1))
   in
   t.marked && t.n_dirty = t.mark_dirty && dirty_same 0 && good_same 0
-
-(* A clean flip-flop equals lane 0 in every lane, so only the dirty list
-   can count. *)
-let state_diff_count t ~lane =
-  if lane < 1 || lane >= 63 then invalid_arg "Ppsfp.state_diff_count: lane";
-  let m = 1 lsl lane in
-  let count = ref 0 in
-  for k = 0 to t.n_dirty - 1 do
-    let i = t.dirty.(k) in
-    let o = t.state_ones.(i) and z = t.state_zeros.(i) in
-    if (o land 1 <> 0 && z land m <> 0) || (z land 1 <> 0 && o land m <> 0) then
-      incr count
-  done;
-  !count
 
 let drop_lanes t mask =
   let mask = mask land lnot 1 in
@@ -1152,3 +1116,132 @@ let step t tr u =
   else if t.activity.(0) > to_full then t.full_mode <- true;
   detect t;
   clock t
+
+(* --- candidate lanes ------------------------------------------------- *)
+
+(* A candidate bit mask is the candidates' fault-free lanes, and
+   shifting a word right by [max_candidates] lines each faulty lane up
+   with its fault-free one. No trace is read: every node is stamped
+   before it is read (inputs and flip-flops first, then the gates in
+   level order), so [read] always takes the planes. Every flip-flop sits
+   on the dirty list with both machines' planes in the state arrays,
+   and [stepped] stays false, so [lane_state] reads any lane of them. *)
+let load_candidates t ~good ~faulty seqs =
+  let n_ffs = Array.length t.state_ones in
+  check_codes "Ppsfp.load_candidates" good n_ffs;
+  check_codes "Ppsfp.load_candidates" faulty n_ffs;
+  if Array.length seqs > max_candidates then
+    invalid_arg "Ppsfp.load_candidates: more than max_candidates sequences";
+  Array.iter
+    (fun s ->
+      if Tseq.width s <> t.n_pis then invalid_arg "Ppsfp.load_candidates: sequence width")
+    seqs;
+  let plane c bit = -((c lsr bit) land 1) in
+  for i = 0 to n_ffs - 1 do
+    let g = Char.code (Bytes.unsafe_get good i) and f = Char.code (Bytes.unsafe_get faulty i) in
+    t.state_ones.(i) <- (plane g 0 land good_lanes) lor (plane f 0 land faulty_lanes);
+    t.state_zeros.(i) <- (plane g 1 land good_lanes) lor (plane f 1 land faulty_lanes);
+    t.dirty.(i) <- i
+  done;
+  t.n_dirty <- n_ffs;
+  t.stepped <- false;
+  rearm t;
+  t.cand_seqs <- seqs;
+  t.cand_u <- 0;
+  Array.iteri
+    (fun k s -> if Tseq.length s > 0 then t.cand_running <- t.cand_running lor (1 lsl k))
+    seqs
+
+let running_candidates t = t.cand_running
+let detected_candidates t = t.cand_detected
+
+(* One full sweep: the running candidates' input vectors (a stopped one
+   reads X), the flip-flop state, every gate; then detection, and the
+   clock for the running candidates' lanes only, so a stopped candidate
+   keeps the state its last step left. *)
+let step_candidates t =
+  let running = t.cand_running in
+  t.cand_detected <- 0;
+  if running <> 0 then begin
+    let u = t.cand_u and node = t.node and seqs = t.cand_seqs and cur = t.cand_cur in
+    let n_cands = Array.length seqs in
+    t.step_id <- t.step_id + 1;
+    for k = 0 to n_cands - 1 do
+      if running land (1 lsl k) <> 0 then
+        Array.unsafe_set cur k (Tseq.get (Array.unsafe_get seqs k) u)
+    done;
+    for v = 0 to t.n_pis - 1 do
+      let o = ref 0 and z = ref 0 in
+      for k = 0 to n_cands - 1 do
+        if running land (1 lsl k) <> 0 then
+          match Bist_logic.Vector.get (Array.unsafe_get cur k) v with
+          | T.One -> o := !o lor (1 lsl k)
+          | T.Zero -> z := !z lor (1 lsl k)
+          | T.X -> ()
+      done;
+      ignore
+        (store t v
+           (Array.unsafe_get node ((v * stride) + f_info))
+           (!o lor (!o lsl max_candidates)) (!z lor (!z lsl max_candidates))
+          : bool)
+    done;
+    let n_ffs = Array.length t.state_ones in
+    for i = 0 to n_ffs - 1 do
+      let v = t.n_pis + i in
+      ignore
+        (store t v
+           (Array.unsafe_get node ((v * stride) + f_info))
+           (Array.unsafe_get t.state_ones i) (Array.unsafe_get t.state_zeros i)
+          : bool)
+    done;
+    for v = t.comb_base to t.n - 1 do
+      ignore (eval_node t v : bool)
+    done;
+    let diff = ref 0 in
+    for i = 0 to Array.length t.pos - 1 do
+      let b = Array.unsafe_get t.pos i * stride in
+      let o = Array.unsafe_get node (b + f_ones) and z = Array.unsafe_get node (b + f_zeros) in
+      diff := !diff lor (o land (z lsr max_candidates)) lor (z land (o lsr max_candidates))
+    done;
+    let lanes = running lor (running lsl max_candidates) in
+    for i = 0 to n_ffs - 1 do
+      read_pin t (Array.unsafe_get node (((t.n_pis + i) * stride) + f_fan) lsr span_shift);
+      let keep = lnot lanes in
+      Array.unsafe_set t.state_ones i
+        ((t.rd_o land lanes) lor (Array.unsafe_get t.state_ones i land keep));
+      Array.unsafe_set t.state_zeros i
+        ((t.rd_z land lanes) lor (Array.unsafe_get t.state_zeros i land keep))
+    done;
+    let detected = !diff land running in
+    let ended = ref 0 in
+    for k = 0 to Array.length seqs - 1 do
+      if Tseq.length (Array.unsafe_get seqs k) = u + 1 then ended := !ended lor (1 lsl k)
+    done;
+    t.cand_detected <- detected;
+    t.cand_running <- running land lnot (detected lor !ended);
+    t.cand_u <- u + 1
+  end
+
+let candidates_at t node value =
+  let b = t.of_netlist.(node) * stride in
+  let o = t.node.(b + f_ones) and z = t.node.(b + f_zeros) in
+  good_lanes
+  land
+  match value with
+  | T.One -> o land lnot z
+  | T.Zero -> z land lnot o
+  | T.X -> lnot (o lor z)
+
+let candidate_divergence t counts =
+  let k = min (Array.length counts) (Array.length t.cand_seqs) in
+  Array.fill counts 0 k 0;
+  for i = 0 to Array.length t.state_ones - 1 do
+    let o = t.state_ones.(i) and z = t.state_zeros.(i) in
+    let d =
+      ((o land (z lsr max_candidates)) lor (z land (o lsr max_candidates))) land good_lanes
+    in
+    if d <> 0 then
+      for c = 0 to k - 1 do
+        if d land (1 lsl c) <> 0 then counts.(c) <- counts.(c) + 1
+      done
+  done

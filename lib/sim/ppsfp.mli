@@ -27,8 +27,7 @@
       keep packed state; a step seeds those and the output-forced
       sources, and clocks only the flip-flops whose D input deviates or
       whose D-pin force is activated. Every other flip-flop is the
-      broadcast of its good value, read from the trace, and is written
-      out only by {!save_state};
+      broadcast of its good value, read from the trace;
     - when measured activity says most of the circuit is live anyway, the
       step switches to a {e compiled} full sweep and back once activity
       decays — the hybrid is self-tuning per group;
@@ -42,6 +41,10 @@
       {e every} lane would repeat itself ({!mark}, {!recurs},
       {!repeats}).
 
+    A second mode, {e candidate lanes}, runs one fault against up to
+    {!max_candidates} different input sequences at once, each with its
+    own fault-free and faulty machine and no shared trace (see below).
+
     Internally the kernel renumbers the nodes (inputs, flip-flops, then
     gates by level) and keeps each node's hot data in one interleaved
     record. Those ids are private: every call below takes netlist ids
@@ -52,7 +55,9 @@
     [Packed_sim], lives in the test suite as the differential oracle;
     the suite enforces the identity (with forces on flip-flops and on
     gates whose good value is X, lanes dropped mid-run and runs moved
-    into a fresh simulator through a snapshot), and checks the trace
+    into a fresh simulator through {!lane_state}, {!load} and
+    {!load_lane}), compares candidate lanes with it run one candidate at
+    a time, and checks the trace
     itself against [Gate.eval] (every kind and arity up to 4, all
     ternary inputs) and {!Bist_sim.Seq_sim} (every node at every
     step). *)
@@ -105,17 +110,13 @@ val repeats : trace -> int -> int
     and [u] is a positive multiple of it. Vectors are compared once per
     block and trace start. *)
 
-type snapshot
-(** The packed flip-flop state of all lanes. *)
-
-val retrace : ?from:snapshot -> ?block:int -> trace -> Bist_logic.Tseq.t -> unit
+val retrace : ?block:int -> trace -> Bist_logic.Tseq.t -> unit
 (** Restart the trace on a new sequence, keeping its buffer: a caller
     that simulates many short candidate sequences allocates one buffer,
-    not one per candidate. The fault-free machine starts all-X, or in
-    lane 0 of [from] (the state a {!restore_state} of the same snapshot
-    gives lane 0). [block] is the new sequence's block length, as in
-    {!trace} (default: none). Steps materialized before are discarded,
-    so no simulator may be part-way through the old sequence. *)
+    not one per candidate. The fault-free machine starts all-X. [block]
+    is the new sequence's block length, as in {!trace} (default: none).
+    Steps materialized before are discarded, so no simulator may be
+    part-way through the old sequence. *)
 
 val trace_state : trace -> int -> Bytes.t -> unit
 (** [trace_state trace u codes] writes the fault-free state at step [u]
@@ -148,9 +149,9 @@ val reset : t -> unit
 val step : t -> trace -> int -> unit
 (** [step t trace u] applies time step [u] of the trace's sequence to all
     lanes and advances the flip-flop state. Steps must be applied in
-    order from 0 after a {!reset}, or after a {!restore_state} on a trace
-    started from the same snapshot ({!retrace}[ ~from]), with one kind of
-    jump allowed. Let [l] be the trace's block length and [u] a multiple
+    order from 0 after a {!reset}, or after a {!load} on a trace started
+    from the same codes ({!trace}[ ~start]), with one kind of jump
+    allowed. Let [l] be the trace's block length and [u] a multiple
     of it: if the simulator was {!mark}ed before the step at [u - l],
     no force was added or cleared since (lanes may have been dropped),
     and {!recurs} holds after the step at [u - 1], then the next step
@@ -174,14 +175,7 @@ val mark : t -> unit
 val recurs : t -> bool
 (** Whether the present flip-flop state of every lane, lane 0 included,
     equals the state at the last {!mark}. False when there was no mark
-    since the last {!reset} or {!restore_state}. *)
-
-val save_state : t -> snapshot
-
-val restore_state : t -> snapshot -> unit
-(** Put back the flip-flop state of every lane, and re-arm event mode
-    as {!reset} does. Forces stay installed. The directed search branches
-    many candidate suffixes off one simulated prefix this way. *)
+    since the last {!reset} or {!load}. *)
 
 (** {2 Per-lane state}
 
@@ -205,11 +199,9 @@ val load_lane : t -> lane:int -> Bytes.t -> unit
 val lane_state : t -> lane:int -> Bytes.t -> unit
 (** Write the present flip-flop state of a lane (0..62; lane 0 is the
     fault-free machine) into the codes. Costs one pass over the
-    flip-flops plus one over the flip-flops whose state deviates. *)
-
-val state_diff_count : t -> lane:int -> int
-(** Flip-flops whose present state in [lane] (1..62) is the binary
-    complement of lane 0's binary value. *)
+    flip-flops plus one over the flip-flops whose state deviates. In
+    candidate mode, lane [k] is candidate [k]'s fault-free machine and
+    lane [k + max_candidates] its faulty one. *)
 
 val drop_lanes : t -> int -> unit
 (** Retire the given lanes (a mask, lane 0 ignored): all their forces are
@@ -227,3 +219,65 @@ val full_steps : t -> int
 
 val event_steps : t -> int
 (** Steps executed in event-driven mode since creation. *)
+
+(** {2 Candidate lanes}
+
+    One fault against many candidate sequences, as a genetic search
+    scores a population: candidate [k] (below {!max_candidates}) runs its
+    own input stream through its own fault-free machine, in lane [k], and
+    its own faulty machine, in lane [k + max_candidates], so the fault's
+    forces go on {!faulty_lanes}. Every candidate starts from the same
+    given flip-flop codes, and all are stepped together by one full
+    sweep of the levelized program per step: no trace, since the
+    fault-free machines differ. A candidate stops at the end of its
+    sequence and at the step it detects the fault, i.e. some primary
+    output carries a binary value in its fault-free lane and the
+    complement in its faulty lane. A stopped candidate's lanes keep the
+    state that step left, and nothing it reads after counts.
+
+    Exactness: lanes are independent bitwise, so each candidate's two
+    lanes compute what a one-fault simulation of that candidate alone
+    computes, fault-free lane and faulty lane; the test suite compares
+    every lane with [Packed_sim] run on one candidate at a time, step by
+    step. A group {!step} needs a {!reset} or {!load} after candidate
+    mode; forces stay installed throughout. *)
+
+val max_candidates : int
+(** 31: two lanes per candidate. *)
+
+val faulty_lanes : int
+(** The lane mask of the candidates' faulty machines, lanes
+    [max_candidates .. 2 * max_candidates - 1]: the mask a fault is
+    installed with for candidate mode. *)
+
+val load_candidates :
+  t -> good:Bytes.t -> faulty:Bytes.t -> Bist_logic.Tseq.t array -> unit
+(** Start a batch: candidate [k] runs [seqs.(k)], its fault-free machine
+    from the codes [good] and its faulty one from [faulty] (one trace
+    code per flip-flop, as for {!load}). Candidates with an empty
+    sequence never run. Raises [Invalid_argument] on more than
+    {!max_candidates} sequences, a sequence whose width is not the
+    circuit's input count, or bad codes. *)
+
+val step_candidates : t -> unit
+(** Apply the next step to every running candidate; a no-op once none
+    runs. *)
+
+val running_candidates : t -> int
+(** The candidates (bit [k] for candidate [k]) that the next
+    {!step_candidates} steps. *)
+
+val detected_candidates : t -> int
+(** The candidates that detected the fault at the last
+    {!step_candidates}; they have stopped. *)
+
+val candidates_at : t -> Bist_circuit.Netlist.node -> Bist_logic.Ternary.t -> int
+(** [candidates_at t node v] is the candidates whose fault-free machine
+    carried [v] at [node] in the last {!step_candidates}; meaningful for
+    the candidates it stepped. *)
+
+val candidate_divergence : t -> int array -> unit
+(** [candidate_divergence t counts] writes into [counts.(k)], for every
+    candidate [k] of the batch below [Array.length counts], the
+    flip-flops whose state in its faulty machine is the binary
+    complement of its fault-free machine's binary value. *)

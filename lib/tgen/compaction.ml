@@ -105,7 +105,7 @@ let rec thin entries ~cap =
     | _ -> thin (List.filteri (fun i _ -> i mod 2 = 0) entries) ~cap
 
 let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
-    ?resume universe seq =
+    ?resume ?baseline universe seq =
   let initial_length, current, trials, accepted =
     match resume with
     | Some s -> (s.initial_length, ref s.seq, ref s.trials, ref s.accepted)
@@ -131,7 +131,9 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
   (* [det.(id)] is the detection time of must-detect fault [id] in
      [!current]. Snapshots do not carry it: a resumed run recomputes it
      with one simulation, which commits nothing, so a preemption there
-     hands back the snapshot the run resumed from. *)
+     hands back the snapshot the run resumed from. A fresh run takes both
+     from [baseline] when the caller has simulated the sequence already;
+     [det] is updated in place, so it is a copy. *)
   let must_detect, det =
     match resume with
     | Some ({ must_detect = Some md; _ } as s) -> (
@@ -142,6 +144,11 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
       with
       | o -> (md, o.Fsim.det_time)
       | exception Ctl.Preempted _ -> raise (Interrupted s))
+    | _ when baseline <> None ->
+      let o = Option.get baseline in
+      if o.Fsim.universe != universe || not (Tseq.equal o.Fsim.sequence !current) then
+        invalid_arg "Compaction.compact: baseline simulated for another universe or sequence";
+      (o.Fsim.detected, Array.copy o.Fsim.det_time)
     | _ -> (
       (match ctl with
       | Some c when Ctl.stop_reason c <> None ->

@@ -71,6 +71,7 @@ val compact :
   ?pool:Bist_parallel.Pool.t ->
   ?ctl:Bist_resilience.Ctl.t ->
   ?resume:snapshot ->
+  ?baseline:Bist_fault.Fsim.outcome ->
   Bist_fault.Universe.t ->
   Bist_logic.Tseq.t ->
   Bist_logic.Tseq.t * stats
@@ -90,9 +91,17 @@ val compact :
     recomputation of detection times raises {!Interrupted} with the
     snapshot it resumed from.
 
+    [baseline] (default: simulated here) is a full fault simulation of
+    the input sequence from reset on every fault of the universe, such
+    as the engine's closing one ({!Engine.generate_with_coverage}): the
+    run takes its detected set and detection times instead of
+    simulating the sequence itself. A run resumed past the baseline
+    ignores it. Raises [Invalid_argument] if it was simulated for
+    another universe or sequence.
+
     [obs] records a ["compaction.baseline"] span for the initial
-    must-detect simulation (["compaction.resume"] for a resumed run's
-    recomputation) and one ["compaction.pass"] span per block
+    must-detect simulation when it runs one (["compaction.resume"] for a
+    resumed run's recomputation) and one ["compaction.pass"] span per block
     granularity, whose args (evaluated when the pass ends) report the
     block size, trials, accepted omissions and resulting length, with
     the pass's ["compaction.record"] simulation inside. It counts

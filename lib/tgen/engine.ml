@@ -62,7 +62,7 @@ type phase =
   | Embedded
   | Directed_tail of { ids : int array; next : int; attempts : int }
   | Sat_tail of { ids : int array; next : int; proved : int; tests : int }
-  | Finalize
+  | Finalize of { proved : int; tests : int }
 
 type snapshot = {
   phase : phase;
@@ -127,9 +127,9 @@ let phase_rank = function
   | Embedded -> 2
   | Directed_tail _ -> rank_directed
   | Sat_tail _ -> rank_sat
-  | Finalize -> 5
+  | Finalize _ -> 5
 
-let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
+let generate_with_coverage ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
   let circuit = Universe.circuit universe in
   let config = Option.value config ~default:(default_config circuit) in
   let width = Bist_circuit.Netlist.num_inputs circuit in
@@ -261,16 +261,21 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
         in
         let gain = Bitset.cardinal outcome.Fsim.detected in
         match !best with
-        | Some (best_gain, _) when best_gain >= gain -> ()
-        | _ -> if gain > 0 then best := Some (gain, seg)
+        | Some (best_gain, _, _) when best_gain >= gain -> ()
+        | _ -> if gain > 0 then best := Some (gain, seg, outcome)
       done;
       match !best with
       | None -> None
-      | Some (gain, seg) ->
+      | Some (gain, seg, scoring) ->
         incr accepted;
         if embed then accept seg
         else begin
-          let outcome = Fsim.run ~obs ?pool ?ctl ~targets:remaining universe seg in
+          (* Unsampled, the winner's scoring run is the full
+             re-simulation itself. *)
+          let outcome =
+            if eval_targets == remaining then scoring
+            else Fsim.run ~obs ?pool ?ctl ~targets:remaining universe seg
+          in
           t0 := Tseq.concat !t0 seg;
           Bitset.diff_into remaining outcome.Fsim.detected
         end;
@@ -344,7 +349,9 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
           ~candidates_per_round:(max 3 (config.candidates_per_round / 2))
           ~fruitless0:(if start_phase = Embedded then initial_fruitless else 0));
   (* Directed tail: attack a few of the surviving faults one by one with
-     the genetic search, seeding each attempt after the full current T0. *)
+     the genetic search, seeding each attempt with the fault-free and the
+     target's states at the end of the current T0, which the frontier
+     holds: every target is in [remaining], so T0 leaves it undetected. *)
   if config.directed_budget > 0 && start_rank <= rank_directed then
     Obs.span obs ~cat:"engine" "engine.directed"
       ~args:(fun () ->
@@ -381,7 +388,11 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
             try
               incr attempts;
               let fault = Universe.get universe id in
-              let outcome = Directed.search ~rng ~prefix:!t0 circuit fault in
+              let f = end_frontier () in
+              let outcome =
+                Directed.search ~obs ~rng ~good:(Fsim.frontier_good f)
+                  ~faulty:(Fsim.frontier_state f id) circuit fault
+              in
               (match outcome.Directed.segment with
               | None -> ()
               | Some seg ->
@@ -411,7 +422,7 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
      faults and resuming stays bit-identical. *)
   let sat_proved = ref 0 and sat_tests = ref 0 in
   (match start_phase with
-  | Sat_tail { proved; tests; _ } ->
+  | Sat_tail { proved; tests; _ } | Finalize { proved; tests } ->
     sat_proved := proved;
     sat_tests := tests
   | _ -> ());
@@ -477,14 +488,15 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
           end;
           incr i
         done);
-  poll_or_interrupt ~phase:Finalize ~fruitless:0;
+  let finalize = Finalize { proved = !sat_proved; tests = !sat_tests } in
+  poll_or_interrupt ~phase:finalize ~fruitless:0;
   let final =
     match
       Obs.span obs ~cat:"engine" "engine.final_fsim" (fun () ->
           Fsim.run ~obs ?pool ?ctl universe !t0)
     with
     | final -> final
-    | exception Ctl.Preempted _ -> interrupt ~phase:Finalize ~fruitless:0 ~rng
+    | exception Ctl.Preempted _ -> interrupt ~phase:finalize ~fruitless:0 ~rng
   in
   Obs.count obs ~by:!rounds "engine.rounds";
   Obs.count obs ~by:!accepted "engine.segments_accepted";
@@ -498,7 +510,12 @@ let generate ?config ?(obs = Obs.null) ?pool ?ctl ?resume ~rng universe =
       statically_untestable = Bitset.cardinal untestable;
       sat_proved = !sat_proved;
       sat_tests = !sat_tests;
-    } )
+    },
+    final )
+
+let generate ?config ?obs ?pool ?ctl ?resume ~rng universe =
+  let t0, stats, _ = generate_with_coverage ?config ?obs ?pool ?ctl ?resume ~rng universe in
+  (t0, stats)
 
 (* Snapshot codec — the [tgen] checkpoint payload section owned by the
    engine. Decoding validates tags and index bounds; anything off raises
@@ -517,7 +534,10 @@ let encode_snapshot w s =
     Array.iter (Io.u32 w) ids;
     Io.u32 w next;
     Io.u32 w attempts
-  | Finalize -> Io.u8 w 4
+  | Finalize { proved; tests } ->
+    Io.u8 w 6;
+    Io.u32 w proved;
+    Io.u32 w tests
   | Sat_tail { ids; next; proved; tests } ->
     Io.u8 w 5;
     Io.u32 w (Array.length ids);
@@ -549,7 +569,9 @@ let decode_snapshot r =
           (Checkpoint.Corrupt
              (Printf.sprintf "directed cursor %d past %d targets" next n));
       Directed_tail { ids; next; attempts }
-    | 4 -> Finalize
+    | 4 ->
+      (* A [Finalize] written before the tag carried the SAT counters. *)
+      Finalize { proved = 0; tests = 0 }
     | 5 ->
       let n = Io.r_u32 r in
       let ids = Array.init n (fun _ -> Io.r_u32 r) in
@@ -561,6 +583,10 @@ let decode_snapshot r =
           (Checkpoint.Corrupt
              (Printf.sprintf "sat cursor %d past %d targets" next n));
       Sat_tail { ids; next; proved; tests }
+    | 6 ->
+      let proved = Io.r_u32 r in
+      let tests = Io.r_u32 r in
+      Finalize { proved; tests }
     | tag ->
       raise (Checkpoint.Corrupt (Printf.sprintf "unknown engine phase tag %d" tag))
   in
@@ -576,9 +602,8 @@ let decode_snapshot r =
 let snapshot_equal a b =
   let phase_equal =
     match (a.phase, b.phase) with
-    | Standalone, Standalone | Rebaseline, Rebaseline | Embedded, Embedded
-    | Finalize, Finalize ->
-      true
+    | Standalone, Standalone | Rebaseline, Rebaseline | Embedded, Embedded -> true
+    | Finalize x, Finalize y -> x.proved = y.proved && x.tests = y.tests
     | Directed_tail x, Directed_tail y ->
       x.ids = y.ids && x.next = y.next && x.attempts = y.attempts
     | Sat_tail x, Sat_tail y ->

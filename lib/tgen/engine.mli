@@ -104,7 +104,9 @@ type phase =
           slice fixed when the phase began, [next] indexes the next
           target, [proved]/[tests] snapshot the phase counters (the
           solver consumes no rng, so resuming here is bit-identical). *)
-  | Finalize  (** About to run the final coverage simulation. *)
+  | Finalize of { proved : int; tests : int }
+      (** About to run the final coverage simulation; [proved]/[tests]
+          are the SAT tail's final counters, carried into the stats. *)
 
 type snapshot = {
   phase : phase;
@@ -159,15 +161,35 @@ val generate :
     state with one simulation (span ["engine.resume_frontier"]) that
     commits nothing.
 
+    The directed tail starts every {!Directed.search} from that end
+    state: the fault-free state and the target's, read from the
+    frontier, since every target is still undetected by [T0].
+
     [obs] (default {!Bist_obs.Obs.null}, one branch of overhead) records
     ["engine.prescreen"], two ["engine.selection"] spans (standalone and
     embedded scoring) with one ["engine.round"] span per greedy round
     nested inside, ["engine.rebaseline"], ["engine.directed"],
     ["engine.sat_tail"] (with one ["sat.fault"] span per query) and
     ["engine.final_fsim"], plus per-shard fault-simulation spans, the
+    directed search's ["directed.*"] work counters, the
     ["engine.rounds"] / ["engine.segments_accepted"] counters and the
     ["engine.t0_length"] gauge. The generated sequence is identical with
     or without a sink: observability never touches the [rng] stream. *)
+
+val generate_with_coverage :
+  ?config:config ->
+  ?obs:Bist_obs.Obs.t ->
+  ?pool:Bist_parallel.Pool.t ->
+  ?ctl:Bist_resilience.Ctl.t ->
+  ?resume:snapshot ->
+  rng:Bist_util.Rng.t ->
+  Bist_fault.Universe.t ->
+  Bist_logic.Tseq.t * stats * Bist_fault.Fsim.outcome
+(** {!generate}, plus the run's closing full fault simulation of [T0]
+    (span ["engine.final_fsim"]): every fault of the universe, from
+    reset, the simulation [stats.detected] counts. A caller that
+    compacts [T0] next passes it to {!Compaction.compact} as
+    [~baseline], which then need not simulate [T0] again. *)
 
 val encode_snapshot : Bist_resilience.Checkpoint.Io.writer -> snapshot -> unit
 (** Append the snapshot's binary form; the engine section of a ["tgen"]

@@ -92,14 +92,21 @@ let execute ?(obs = Bist_obs.Obs.null) ?pool ?ctl ?resume p universe =
     }
   in
   let rng = Bist_util.Rng.create p.seed in
-  let t0, stats =
+  (* A run that generates [T0] hands the engine's closing simulation of
+     it to compaction as the baseline. *)
+  let t0, stats, baseline =
     match resume with
-    | Some (Compacting (stats, cs)) -> (cs.Compaction.seq, stats)
+    | Some (Compacting (stats, cs)) -> (cs.Compaction.seq, stats, None)
     | (None | Some (Generating _)) as r -> (
       let engine_resume =
         match r with Some (Generating s) -> Some s | _ -> None
       in
-      try Engine.generate ~config ~obs ?pool ?ctl ?resume:engine_resume ~rng universe
+      try
+        let t0, stats, final =
+          Engine.generate_with_coverage ~config ~obs ?pool ?ctl ?resume:engine_resume ~rng
+            universe
+        in
+        (t0, stats, Some final)
       with Engine.Interrupted s -> raise (Interrupted (Generating s)))
   in
   let compact_resume =
@@ -108,7 +115,7 @@ let execute ?(obs = Bist_obs.Obs.null) ?pool ?ctl ?resume p universe =
   let t0, cstats =
     try
       Compaction.compact ~max_trials:p.trials ~obs ?pool ?ctl
-        ?resume:compact_resume universe t0
+        ?resume:compact_resume ?baseline universe t0
     with Compaction.Interrupted cs -> raise (Interrupted (Compacting (stats, cs)))
   in
   (t0, stats, cstats)

@@ -51,8 +51,10 @@ val execute :
   params ->
   Bist_fault.Universe.t ->
   Bist_logic.Tseq.t * Engine.stats * Compaction.stats
-(** Generate [T0] with {!Engine.generate} (config =
+(** Generate [T0] with {!Engine.generate_with_coverage} (config =
     {!Engine.default_config} of the universe's circuit with [params]'
-    directed and SAT budgets) and compact it with {!Compaction.compact}. The
-    result is a deterministic function of [params] and the circuit, for
-    every pool width and any interleaving of preemptions. *)
+    directed and SAT budgets) and compact it with {!Compaction.compact},
+    whose baseline is the engine's closing simulation of [T0] when this
+    run generated it. The result is a deterministic function of [params]
+    and the circuit, for every pool width and any interleaving of
+    preemptions. *)

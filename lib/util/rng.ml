@@ -1,4 +1,18 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state, four 64-bit words in 32 bytes, read and
+   written with the unboxed int64 accessors: a draw allocates nothing,
+   where mutable int64 record fields would box every word it writes. *)
+type t = Bytes.t
+
+let get t i = Bytes.get_int64_ne t (8 * i)
+let set t i v = Bytes.set_int64_ne t (8 * i) v
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
+  t
 
 (* splitmix64: expands a small seed into well-distributed initial state. *)
 let splitmix64 state =
@@ -15,36 +29,36 @@ let create seed =
   let s1 = splitmix64 state in
   let s2 = splitmix64 state in
   let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set t 0 (logxor s0 s3);
+  set t 1 (logxor s1 s2);
+  set t 2 (logxor s2 (shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
 
 let split t =
   let seed = Int64.to_int (bits64 t) land max_int in
   create seed
 
-let export t = [| t.s0; t.s1; t.s2; t.s3 |]
+let export t = Array.init 4 (get t)
 
 let import words =
   if Array.length words <> 4 then
     invalid_arg "Rng.import: expected exactly 4 state words";
   if Array.for_all (fun w -> w = 0L) words then
     invalid_arg "Rng.import: the all-zero state is not a valid xoshiro state";
-  { s0 = words.(0); s1 = words.(1); s2 = words.(2); s3 = words.(3) }
+  of_words words.(0) words.(1) words.(2) words.(3)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

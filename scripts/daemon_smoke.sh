@@ -46,9 +46,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Long enough to SIGKILL mid-run (~3s, most of it the directed search),
-# checkpointed every 100ms.
-job=(tgen x1488 --seed 7 --trials 2000 --directed 200)
+# Long enough to SIGKILL mid-run (~3.5s on a 2-vCPU host, all of it
+# x5378's T0 generation, whose candidates are scored on a fault
+# sample), checkpointed every 100ms.
+job=(tgen x5378 --seed 7 --trials 0 --directed 0)
 
 start_daemon() { # extra serve args...
   "$BISTD" serve --port 0 --port-file "$work/port" --spool "$work/spool" \
@@ -153,19 +154,19 @@ say "SIGTERMed daemon: jobs parked, recovered on restart, bit-identical"
 
 # The daemon never parses the payload; only the sandboxed worker does.
 # Reference comes from a local bistgen run on the very same file, with
-# the daemon's tgen parameters spelled out; the directed budget keeps
+# the daemon's tgen parameters spelled out; x5378's T0 generation keeps
 # the job running well past the kill below.
 rm -rf "$work/spool"
-"$BISTGEN" convert x1488 -o "$work/x1488.blif" >/dev/null \
+"$BISTGEN" convert x5378 -o "$work/x5378.blif" >/dev/null \
   || fail "could not synthesize the .blif payload"
-"$BISTGEN" tgen "$work/x1488.blif" --seed 7 --compact-trials 2000 \
-  --directed 200 -o "$work/pref.seq" >/dev/null \
+"$BISTGEN" tgen "$work/x5378.blif" --seed 7 --compact-trials 0 \
+  --directed 0 -o "$work/pref.seq" >/dev/null \
   || fail "local reference run on the payload failed"
 start_daemon --workers 1
 "$BISTD" ping --port "$port" | grep -q "protocol v2" \
   || fail "handshake did not negotiate protocol v2"
-"$BISTD" submit tgen --payload "$work/x1488.blif" --seed 7 --trials 2000 \
-  --directed 200 --port "$port" --wait -o "$work/pmig.seq" > "$work/pmig.client" 2>&1 &
+"$BISTD" submit tgen --payload "$work/x5378.blif" --seed 7 --trials 0 \
+  --directed 0 --port "$port" --wait -o "$work/pmig.seq" > "$work/pmig.client" 2>&1 &
 client=$!
 pidfile="$work/spool/job-1.pid"
 for _ in $(seq 1 50); do
@@ -192,18 +193,20 @@ say "payload bombs: typed rejections, daemon kept serving"
 
 # --- 7. poison job: quarantine, restart, release, finish -------------
 
-# Under a 1s CPU rlimit a directed-800 run (~7s CPU, so three attempts
-# resuming from each other's checkpoints cannot finish it) dies with
-# SIGXCPU on every attempt; after 3 distinct crashed workers the job must be
-# quarantined (typed reply, co-tenant unharmed), survive a restart, and
-# on release resume from its kept checkpoint to a bit-identical result.
+# Under a 1s CPU rlimit an x5378 run with 12 compaction trials (~7s CPU
+# in a worker, where every resumed compaction leg first re-simulates the
+# sequence, so three attempts resuming from each other's checkpoints
+# cannot finish it) dies with SIGXCPU on every attempt; after 3 distinct
+# crashed workers the job must be quarantined (typed reply, co-tenant
+# unharmed), survive a restart, and on release resume from its kept
+# checkpoint to a bit-identical result.
 rm -rf "$work/spool"
-"$BISTGEN" tgen "$work/x1488.blif" --seed 7 --compact-trials 2000 \
-  --directed 800 -o "$work/pref3.seq" >/dev/null \
+"$BISTGEN" tgen "$work/x5378.blif" --seed 7 --compact-trials 12 \
+  --directed 0 -o "$work/pref3.seq" >/dev/null \
   || fail "local reference run for the poison job failed"
 start_daemon --workers 2 --worker-cpu 1
-"$BISTD" submit tgen --payload "$work/x1488.blif" --seed 7 --trials 2000 \
-  --directed 800 --port "$port" --wait > "$work/poison.client" 2>&1 &
+"$BISTD" submit tgen --payload "$work/x5378.blif" --seed 7 --trials 12 \
+  --directed 0 --port "$port" --wait > "$work/poison.client" 2>&1 &
 poison=$!
 "$BISTD" submit tgen s27 --seed 7 --trials 50 --port "$port" --wait \
   > "$work/cotenant.seq" 2> "$work/cotenant.err" \

@@ -369,6 +369,18 @@ let po_diff_lanes t = t.diff_lanes
 
 let node_value t n = P.make ~ones:t.ones.(n) ~zeros:t.zeros.(n)
 
+let load_lane t ~lane state =
+  if lane < 0 || lane >= 63 then invalid_arg "Packed_sim.load_lane: lane";
+  if Array.length state <> Array.length t.state_ones then
+    invalid_arg "Packed_sim.load_lane: one value per flip-flop";
+  let m = 1 lsl lane in
+  Array.iteri
+    (fun i v ->
+      let o = t.state_ones.(i) land lnot m and z = t.state_zeros.(i) land lnot m in
+      t.state_ones.(i) <- (if v = T.One then o lor m else o);
+      t.state_zeros.(i) <- (if v = T.Zero then z lor m else z))
+    state
+
 let lane_state t ~lane =
   if lane < 0 || lane >= 63 then invalid_arg "Packed_sim.lane_state: lane";
   Array.init (Array.length t.state_ones) (fun i ->

@@ -76,3 +76,7 @@ val state_diff_count : t -> lane:int -> int
 val lane_state : t -> lane:int -> Bist_logic.Ternary.t array
 (** The present flip-flop state of one lane (0..62), one value per
     flip-flop in {!Bist_circuit.Netlist.dffs} order. *)
+
+val load_lane : t -> lane:int -> Bist_logic.Ternary.t array -> unit
+(** Put one lane (0..62) in the given flip-flop state, in the same
+    order; the other lanes keep theirs. *)

@@ -11,16 +11,7 @@ module Bench_writer = Bist_circuit.Bench_writer
 let corpus_files =
   [ "counter3.blif"; "k12a.blif"; "pipeline_cells.blif"; "s27_yosys.blif" ]
 
-(* `dune runtest` runs from the test directory; a direct `dune exec
-   test/test_main.exe` from the repo root. *)
-let corpus_path f =
-  let candidates =
-    [ Filename.concat (Filename.concat ".." "examples") f;
-      Filename.concat "examples" f ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "BLIF corpus file %s not found" f
+let corpus_path = Testutil.corpus_path
 
 let parse ?(name = "t") text = Blif_parser.parse_string ~name text
 

@@ -149,19 +149,8 @@ let read_file path =
 let blif_corpus_files =
   [ "counter3.blif"; "k12a.blif"; "pipeline_cells.blif"; "s27_yosys.blif" ]
 
-(* `dune runtest` runs from the test directory; `dune exec
-   test/test_main.exe` (make fuzz-smoke) from the repo root. *)
-let corpus_path f =
-  let candidates =
-    [ Filename.concat (Filename.concat ".." "examples") f;
-      Filename.concat "examples" f ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "BLIF corpus file %s not found" f
-
 let blif_sources () =
-  let corpus = List.map (fun f -> read_file (corpus_path f)) blif_corpus_files in
+  let corpus = List.map (fun f -> read_file (Testutil.corpus_path f)) blif_corpus_files in
   let written =
     List.map
       (fun circuit -> Blif_writer.to_string (circuit ()))

@@ -295,6 +295,14 @@ let test_lane0_reserved_and_validation () =
   Alcotest.check_raises "load_lane after a step"
     (Invalid_argument "Ppsfp.load_lane: a step ran since the last load")
     (fun () -> Ppsfp.load_lane sim ~lane:1 (Bytes.make 3 '\002'));
+  let x = Bytes.make 3 '\000' in
+  Alcotest.check_raises "load_candidates: too many"
+    (Invalid_argument "Ppsfp.load_candidates: more than max_candidates sequences")
+    (fun () ->
+      Ppsfp.load_candidates sim ~good:x ~faulty:x (Array.make (Ppsfp.max_candidates + 1) seq));
+  Alcotest.check_raises "load_candidates: width"
+    (Invalid_argument "Ppsfp.load_candidates: sequence width")
+    (fun () -> Ppsfp.load_candidates sim ~good:x ~faulty:x [| seq2 |]);
   let universe = Universe.collapsed circuit in
   let seq = seq_for circuit ~seed:1 ~len:16 in
   let outcome = Fsim.run ~record:[| 8 |] universe seq in
@@ -529,13 +537,32 @@ let single_differential_property =
            seqs
          = []))
 
-(* Branching off a snapshot must replay the uninterrupted run: with 62
-   faults installed, [prefix ++ seg] stepped from reset gives, at every
-   step of [seg], the same detection mask, the same per-lane flip-flop
-   divergence and the same fault-free values as restoring the snapshot
-   taken after [prefix] and stepping [seg] on a trace started from it.
-   Two segments share the snapshot, and the simulator is reset between
-   the save and the first restore, so a restore that keeps the current
+(* Every lane's flip-flop state, one code string per lane 0..62. *)
+let lane_codes sim =
+  let n_ffs = Netlist.num_dffs (Ppsfp.circuit sim) in
+  Array.init 63 (fun lane ->
+      let codes = Bytes.create n_ffs in
+      Ppsfp.lane_state sim ~lane codes;
+      codes)
+
+(* Lanes holding some flip-flop in the binary complement of lane 0's. *)
+let diverged codes =
+  let opposite a b = (a = '\001' && b = '\002') || (a = '\002' && b = '\001') in
+  List.filter
+    (fun l ->
+      let differs = ref false in
+      Bytes.iteri (fun i c -> if opposite (Bytes.get codes.(0) i) c then differs := true) codes.(l);
+      !differs)
+    (List.init 62 succ)
+
+(* Branching off saved lane states must replay the uninterrupted run:
+   with 62 faults installed, [prefix ++ seg] stepped from reset gives,
+   at every step of [seg], the same detection mask, the same flip-flop
+   state in every lane and the same fault-free values as loading the
+   states read after [prefix] ([lane_state], then [load] and
+   [load_lane]) and stepping [seg] on a trace started from lane 0's. Two
+   segments share the saved states, and the simulator is reset between
+   the save and the first load, so a load that keeps the current
    flip-flop bookkeeping is caught. *)
 let test_snapshot_replays_prefix name () =
   let circuit = (Option.get (Bist_bench.Registry.find name)).circuit () in
@@ -551,7 +578,7 @@ let test_snapshot_replays_prefix name () =
     List.init len (fun u ->
         Ppsfp.step sim tr (from + u);
         ( Ppsfp.po_diff_lanes sim,
-          List.init 62 (fun l -> Ppsfp.state_diff_count sim ~lane:(l + 1)),
+          Array.to_list (Array.map Bytes.to_string (lane_codes sim)),
           List.init (Netlist.size circuit) (fun node ->
               T.to_char (Ppsfp.good_value tr (from + u) node)) ))
   in
@@ -560,16 +587,11 @@ let test_snapshot_replays_prefix name () =
   Ppsfp.reset branching;
   let tr = Ppsfp.trace branching prefix in
   ignore (observe branching tr ~from:0 ~len:(Tseq.length prefix));
-  let diverged =
-    List.length
-      (List.filter
-         (fun l -> Ppsfp.state_diff_count branching ~lane:l > 0)
-         (List.init 62 succ))
-  in
+  let saved = lane_codes branching in
+  let diverged = List.length (diverged saved) in
   Alcotest.(check bool)
     (Printf.sprintf "%s: %d lanes diverge after the prefix" name diverged)
     true (diverged > 0);
-  let snap = Ppsfp.save_state branching in
   Ppsfp.reset branching;
   List.iter
     (fun seed ->
@@ -581,9 +603,11 @@ let test_snapshot_replays_prefix name () =
       let straight_tr = Ppsfp.trace straight whole in
       ignore (observe straight straight_tr ~from:0 ~len:(Tseq.length prefix));
       let want = observe straight straight_tr ~from:(Tseq.length prefix) ~len:24 in
-      Ppsfp.restore_state branching snap;
-      Ppsfp.retrace ~from:snap tr seg;
-      let got = observe branching tr ~from:0 ~len:24 in
+      Ppsfp.load branching saved.(0);
+      for lane = 1 to 62 do
+        Ppsfp.load_lane branching ~lane saved.(lane)
+      done;
+      let got = observe branching (Ppsfp.trace ~start:saved.(0) branching seg) ~from:0 ~len:24 in
       Alcotest.(check bool)
         (Printf.sprintf "%s segment %d: branch == straight run" name seed)
         true (want = got))
@@ -608,7 +632,9 @@ let install_oracle sim = function
    when dirty, pinned or fed a deviating word), and a gate output or
    gate pin whose fault-free value is X at some step (a forced gate is
    evaluated only when a force disagrees with the value it overrides,
-   and X disagrees with both). *)
+   and X disagrees with both). A lane forces a site once: opposite
+   forces on one site would set both planes, a state that is no trace
+   code, which no fault installs and no lane state can carry. *)
 let random_forces rng circuit seq =
   let scalar = Seq_sim.create circuit in
   let x_site = Array.make (Netlist.size circuit) false in
@@ -632,6 +658,7 @@ let random_forces rng circuit seq =
   in
   let dffs = Array.to_list (Netlist.dffs circuit) in
   let value () = if Rng.bool rng then T.One else T.Zero in
+  let site = function Out (n, _, _) -> (n, -1) | Pin (g, p, _, _) -> (g, p) in
   List.concat_map
     (fun lane ->
       let mask = 1 lsl lane in
@@ -645,14 +672,25 @@ let random_forces rng circuit seq =
           | 3 when x_pins <> [] ->
             let g, p = pick x_pins in
             Pin (g, p, mask, value ())
-          | _ -> Out (Rng.int rng (Netlist.size circuit), mask, value ())))
+          | _ -> Out (Rng.int rng (Netlist.size circuit), mask, value ()))
+      |> List.fold_left
+           (fun kept f ->
+             if List.exists (fun k -> site k = site f) kept then kept else kept @ [ f ])
+           [])
     (List.init 62 succ)
+
+let codes_of_states states =
+  Bytes.init (Array.length states) (fun i ->
+      match states.(i) with T.One -> '\001' | T.Zero -> '\002' | T.X -> '\000')
 
 (* The per-step observations of a forced run, against Packed_sim on the
    same forces: lanes in [drop] are dropped after step [drop_at], and
-   after step [move_at - 1] the run moves into a fresh simulator through
-   [save_state]/[restore_state] and a trace started from the snapshot.
-   Returns the mismatches as "what@step" strings. *)
+   after step [move_at - 1] the run moves into a fresh simulator: every
+   lane's state read with [lane_state], written back with [load] and
+   [load_lane], on a trace started from lane 0's. Each step compares the
+   live lanes' detection mask and every lane's flip-flop state (a
+   dropped lane's must be lane 0's). Returns the mismatches as
+   "what@step" strings. *)
 let forced_run_mismatches circuit seq forces ~drop ~drop_at ~move_at =
   let len = Tseq.length seq in
   let sim = ref (Ppsfp.create circuit) in
@@ -665,16 +703,16 @@ let forced_run_mismatches circuit seq forces ~drop ~drop_at ~move_at =
   let dropped = ref 0 and bad = ref [] in
   for u = 0 to len - 1 do
     if u = move_at then begin
-      let snap = Ppsfp.save_state !sim in
+      let saved = lane_codes !sim in
       let fresh = Ppsfp.create circuit in
       List.iter (install_force fresh) forces;
       Ppsfp.drop_lanes fresh !dropped;
-      Ppsfp.restore_state fresh snap;
-      let rest = Tseq.sub seq ~lo:u ~hi:(len - 1) in
-      let fresh_tr = Ppsfp.trace fresh rest in
-      Ppsfp.retrace ~from:snap fresh_tr rest;
+      Ppsfp.load fresh saved.(0);
+      for lane = 1 to 62 do
+        Ppsfp.load_lane fresh ~lane saved.(lane)
+      done;
       sim := fresh;
-      tr := fresh_tr;
+      tr := Ppsfp.trace ~start:saved.(0) fresh (Tseq.sub seq ~lo:u ~hi:(len - 1));
       offset := u
     end;
     Ppsfp.step !sim !tr (u - !offset);
@@ -682,13 +720,14 @@ let forced_run_mismatches circuit seq forces ~drop ~drop_at ~move_at =
     let live = lnot !dropped in
     if Ppsfp.po_diff_lanes !sim <> Packed_sim.po_diff_lanes oracle land live then
       bad := Printf.sprintf "po_diff_lanes@%d" u :: !bad;
-    for lane = 1 to 62 do
+    let got = lane_codes !sim in
+    for lane = 0 to 62 do
       let want =
-        if !dropped land (1 lsl lane) <> 0 then 0
-        else Packed_sim.state_diff_count oracle ~lane
+        if !dropped land (1 lsl lane) <> 0 then got.(0)
+        else codes_of_states (Packed_sim.lane_state oracle ~lane)
       in
-      if Ppsfp.state_diff_count !sim ~lane <> want then
-        bad := Printf.sprintf "state_diff_count lane %d@%d" lane u :: !bad
+      if not (Bytes.equal got.(lane) want) then
+        bad := Printf.sprintf "lane_state %d@%d" lane u :: !bad
     done;
     if u = drop_at then begin
       dropped := drop;
@@ -722,11 +761,138 @@ let forced_run_property =
            QCheck.Test.fail_reportf "drop at %d, move at %d: %s" drop_at move_at
              (String.concat ", " bad)))
 
-(* --- group order and recurring blocks ----------------------------------- *)
+(* --- candidate lanes ------------------------------------------------------ *)
 
 let random_vector rng width =
   Vector.init width (fun _ ->
       match Rng.int rng 8 with 0 -> T.X | k -> if k land 1 = 0 then T.Zero else T.One)
+
+(* One candidate alone on the oracle, as the one-candidate loop ran: the
+   fault in lane 1 of a Packed_sim whose lanes 0 and 1 start in [good]
+   and [faulty], stepped until the candidate detects or its sequence
+   ends. Per step: whether it detected, lane 0's and lane 1's flip-flop
+   states, the divergence count and every node's fault-free value. *)
+let packed_candidate circuit fault ~good ~faulty seq =
+  let sim = Packed_sim.create circuit in
+  Testutil.packed_install sim fault ~lane:1;
+  Packed_sim.reset sim;
+  Packed_sim.load_lane sim ~lane:0 good;
+  Packed_sim.load_lane sim ~lane:1 faulty;
+  let rec go u acc =
+    if u >= Tseq.length seq then List.rev acc
+    else begin
+      Packed_sim.step sim (Tseq.get seq u);
+      let detected = Packed_sim.po_diff_lanes sim land 0b10 <> 0 in
+      let obs =
+        ( detected,
+          codes_of_states (Packed_sim.lane_state sim ~lane:0),
+          codes_of_states (Packed_sim.lane_state sim ~lane:1),
+          Packed_sim.state_diff_count sim ~lane:1,
+          Array.init (Netlist.size circuit) (fun node ->
+              Packed.get (Packed_sim.node_value sim node) 0) )
+      in
+      if detected then List.rev (obs :: acc) else go (u + 1) (obs :: acc)
+    end
+  in
+  Array.of_list (go 0 [])
+
+(* A batch of 1 to [max_candidates] candidates of uneven lengths, with X
+   inputs, from random start codes (the faulty machine often starting
+   where the fault-free one does), against each candidate run alone on
+   the oracle. At every step a candidate takes it must detect when the
+   oracle does, carry its lanes' states, divergence and fault-free node
+   values; it must stop after its detection step or its last vector, and
+   a stopped candidate's lanes must keep its last state. *)
+let candidate_mismatches circuit fault ~good ~faulty seqs =
+  let m = Array.length seqs in
+  let states codes =
+    Array.init (Bytes.length codes) (fun i ->
+        match Bytes.get codes i with '\001' -> T.One | '\002' -> T.Zero | _ -> T.X)
+  in
+  let want =
+    Array.map (packed_candidate circuit fault ~good:(states good) ~faulty:(states faulty)) seqs
+  in
+  let sim = Ppsfp.create circuit in
+  (match (fault : Fault.t) with
+  | { site = Fault.Output n; stuck } -> Ppsfp.add_output_force sim n ~mask:Ppsfp.faulty_lanes stuck
+  | { site = Fault.Pin { gate; pin }; stuck } ->
+    Ppsfp.add_pin_force sim ~gate ~pin ~mask:Ppsfp.faulty_lanes stuck);
+  Ppsfp.load_candidates sim ~good ~faulty seqs;
+  let n_ffs = Bytes.length good in
+  let counts = Array.make m 0 in
+  let bad = ref [] in
+  let fail k u what = bad := Printf.sprintf "candidate %d %s@%d" k what u :: !bad in
+  let u = ref 0 in
+  let last = Array.map (fun _ -> (Bytes.copy good, Bytes.copy faulty)) seqs in
+  while Ppsfp.running_candidates sim <> 0 && !u <= 64 do
+    let stepped = Ppsfp.running_candidates sim in
+    Ppsfp.step_candidates sim;
+    Ppsfp.candidate_divergence sim counts;
+    let lane l =
+      let c = Bytes.create n_ffs in
+      Ppsfp.lane_state sim ~lane:l c;
+      c
+    in
+    for k = 0 to m - 1 do
+      let g = lane k and f = lane (k + Ppsfp.max_candidates) in
+      let takes = !u < Array.length want.(k) in
+      if (stepped land (1 lsl k) <> 0) <> takes then fail k !u "runs";
+      if takes then begin
+        let detected, wg, wf, wdiv, values = want.(k).(!u) in
+        if (Ppsfp.detected_candidates sim land (1 lsl k) <> 0) <> detected then fail k !u "detection";
+        if not (Bytes.equal g wg) then fail k !u "fault-free state";
+        if not (Bytes.equal f wf) then fail k !u "faulty state";
+        if counts.(k) <> wdiv then fail k !u "divergence";
+        Array.iteri
+          (fun node v ->
+            List.iter
+              (fun value ->
+                if (Ppsfp.candidates_at sim node value land (1 lsl k) <> 0) <> T.equal v value
+                then fail k !u (Printf.sprintf "value of %s" (Netlist.name circuit node)))
+              [ T.One; T.Zero; T.X ])
+          values;
+        last.(k) <- (g, f)
+      end
+      else begin
+        let lg, lf = last.(k) in
+        if not (Bytes.equal g lg && Bytes.equal f lf) then fail k !u "frozen state"
+      end
+    done;
+    incr u
+  done;
+  Array.iteri (fun k w -> if Array.length w > !u then fail k !u "stopped early") want;
+  List.rev !bad
+
+let candidate_lanes_property =
+  Testutil.qcheck
+    (QCheck.Test.make ~name:"candidate lanes == packed, one candidate at a time" ~count:80
+       Testutil.circuit_and_seq
+       (fun (cseed, sseed, len) ->
+         let circuit = Testutil.small_circuit cseed in
+         let universe = Universe.collapsed circuit in
+         let rng = Rng.create sseed in
+         let fault = Universe.get universe (Rng.int rng (Universe.size universe)) in
+         let n_ffs = Netlist.num_dffs circuit in
+         let codes () = Bytes.init n_ffs (fun _ -> Char.chr (Rng.int rng 3)) in
+         let good = codes () in
+         let faulty = if Rng.bool rng then Bytes.copy good else codes () in
+         let m =
+           if Rng.int rng 4 = 0 then Ppsfp.max_candidates else 1 + Rng.int rng Ppsfp.max_candidates
+         in
+         let width = Netlist.num_inputs circuit in
+         let seqs =
+           Array.init m (fun _ ->
+               match Rng.int rng (len + 1) with
+               | 0 -> Tseq.empty width
+               | l -> Tseq.of_vectors (Array.init l (fun _ -> random_vector rng width)))
+         in
+         match candidate_mismatches circuit fault ~good ~faulty seqs with
+         | [] -> true
+         | bad ->
+           QCheck.Test.fail_reportf "%s, %d candidates: %s" (Fault.name circuit fault) m
+             (String.concat ", " (List.filteri (fun i _ -> i < 8) bad))))
+
+(* --- group order and recurring blocks ----------------------------------- *)
 
 (* A sequence of repeated blocks, with X inputs, and a block length to
    simulate it with. Half the time it is [Ops.expand] of a random S at
@@ -1095,6 +1261,7 @@ let suite =
     Alcotest.test_case "snapshot branch == straight run (x298)" `Quick
       (test_snapshot_replays_prefix "x298");
     forced_run_property;
+    candidate_lanes_property;
     blocks_vs_packed_property;
     single_blocks_property;
     Alcotest.test_case "trace == Seq_sim on expansions with copied blocks" `Quick

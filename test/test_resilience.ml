@@ -281,7 +281,7 @@ let engine_snapshot_arb =
         | 2 -> Engine.Embedded
         | 3 -> Engine.Directed_tail { ids = Array.of_list ids; next; attempts }
         | 4 -> Engine.Sat_tail { ids = Array.of_list ids; next; proved; tests }
-        | _ -> Engine.Finalize
+        | _ -> Engine.Finalize { proved; tests }
       in
       return
         {
@@ -393,6 +393,54 @@ let test_engine_resume_sat_tail () =
   Alcotest.(check bool) "sat tail proved something" true
     (ref_stats.Engine.sat_proved > 0);
   check_engine_identity ~polls:101 ~config ~seed:11 universe
+
+(* A run preempted at [Finalize], after a SAT tail that proved faults,
+   resumes with the tail's counters: the resumed stats equal the
+   uninterrupted run's. The deadline is timed with a clock that counts
+   its samples: the final simulation polls once per 62-fault group after
+   the [Finalize] safe point, so the sample before those is the one to
+   expire at. One worker keeps the count exact. *)
+let test_engine_resume_at_finalize () =
+  let universe = x_universe "x298" in
+  let pool = Bist_parallel.Pool.create ~jobs:1 () in
+  let config =
+    { (Engine.default_config (Universe.circuit universe)) with
+      Engine.sat_budget = 5; sat_frames = 6; max_length = 200 }
+  in
+  let samples = ref 0 in
+  let counting () = incr samples; 0.0 in
+  let ctl = Ctl.create ~deadline:(Deadline.after ~clock:counting 1.0) () in
+  let ref_t0, ref_stats = Engine.generate ~config ~pool ~ctl ~rng:(Rng.create 7) universe in
+  Alcotest.(check bool) "the SAT tail proved faults" true (ref_stats.Engine.sat_proved > 0);
+  let groups = (Universe.size universe + 61) / 62 in
+  let snap =
+    match
+      Engine.generate ~config ~pool
+        ~ctl:(expiring_ctl ~after_calls:(!samples - groups - 1))
+        ~rng:(Rng.create 7) universe
+    with
+    | _ -> Alcotest.fail "expected a preemption"
+    | exception Engine.Interrupted s -> s
+  in
+  (match snap.Engine.phase with
+  | Engine.Finalize { proved; _ } ->
+    Alcotest.(check int) "the snapshot carries the proofs" ref_stats.sat_proved proved
+  | _ -> Alcotest.fail "expected a snapshot at Finalize");
+  let t0, stats = Engine.generate ~config ~pool ~resume:snap ~rng:(Rng.create 7) universe in
+  Testutil.check_seq "same T0" ref_t0 t0;
+  Alcotest.(check bool) "same stats" true (ref_stats = stats);
+  (* A tag-4 checkpoint, the [Finalize] of the codec before it carried
+     the counters, still decodes, with both at 0. *)
+  let w = Io.writer () in
+  Engine.encode_snapshot w { snap with Engine.phase = Engine.Standalone };
+  let old = Bytes.of_string (Io.contents w) in
+  Bytes.set old 0 '\004';
+  let r = Io.reader (Bytes.to_string old) in
+  let decoded = Engine.decode_snapshot r in
+  Io.expect_end r;
+  Alcotest.(check bool) "tag 4 decodes as Finalize with no counts" true
+    (Engine.snapshot_equal decoded
+       { snap with Engine.phase = Engine.Finalize { proved = 0; tests = 0 } })
 
 let test_engine_resume_wrong_universe_is_mismatch () =
   let config =
@@ -574,6 +622,8 @@ let suite =
       test_engine_resume_x298;
     Alcotest.test_case "engine interrupt/resume crosses the SAT tail" `Slow
       test_engine_resume_sat_tail;
+    Alcotest.test_case "engine resume at Finalize keeps the SAT counts" `Slow
+      test_engine_resume_at_finalize;
     Alcotest.test_case "engine resume on wrong circuit is Mismatch" `Quick
       test_engine_resume_wrong_universe_is_mismatch;
     Alcotest.test_case "compaction interrupt/resume is bit-identical" `Slow

@@ -92,6 +92,12 @@ let test_flagged_ff_faults_undetectable () =
 
 (* Directed search *)
 
+(* The states a prefix leaves the fault-free machine and every fault it
+   does not detect in: the frontier at its end. *)
+let end_states universe prefix =
+  (Bist_fault.Fsim.run ~record:[| Bist_logic.Tseq.length prefix |] universe prefix)
+    .Bist_fault.Fsim.frontiers.(0)
+
 let test_directed_finds_hard_fault () =
   (* Target a fault the shift register detects only after shifting a
      specific value through: directed search should find a segment. *)
@@ -99,10 +105,18 @@ let test_directed_finds_hard_fault () =
   let universe = Bist_fault.Universe.collapsed c in
   let rng = Bist_util.Rng.create 12 in
   let prefix = Bist_logic.Tseq.of_strings [ "0" ] in
+  let f = end_states universe prefix in
+  let held = Bist_fault.Fsim.frontier_faults f in
+  Alcotest.(check int) "the prefix detects nothing" (Bist_fault.Universe.size universe)
+    (Array.length held);
   let found = ref 0 in
-  Bist_fault.Universe.iter
-    (fun _ fault ->
-      let outcome = Bist_tgen.Directed.search ~rng ~prefix c fault in
+  Array.iter
+    (fun id ->
+      let fault = Bist_fault.Universe.get universe id in
+      let outcome =
+        Bist_tgen.Directed.search ~rng ~good:(Bist_fault.Fsim.frontier_good f)
+          ~faulty:(Bist_fault.Fsim.frontier_state f id) c fault
+      in
       match outcome.Bist_tgen.Directed.segment with
       | None -> ()
       | Some seg ->
@@ -111,21 +125,22 @@ let test_directed_finds_hard_fault () =
         let full = Bist_logic.Tseq.concat prefix seg in
         Alcotest.(check bool) "claimed detection is real" true
           (Bist_fault.Fsim.detects c fault full))
-    universe;
+    held;
   Alcotest.(check bool) "finds most shift4 faults" true
     (!found >= Bist_fault.Universe.size universe / 2)
 
 let test_directed_respects_budget () =
   let c = Bist_bench.Teaching.counter3 () in
-  let fault = Bist_fault.Universe.get (Bist_fault.Universe.collapsed c) 0 in
+  let universe = Bist_fault.Universe.collapsed c in
+  let fault = Bist_fault.Universe.get universe 0 in
   let rng = Bist_util.Rng.create 12 in
   let config =
     { Bist_tgen.Directed.default_config with population = 4; generations = 3 }
   in
+  let f = end_states universe (Bist_logic.Tseq.of_strings [ "00" ]) in
   let outcome =
-    Bist_tgen.Directed.search ~config ~rng
-      ~prefix:(Bist_logic.Tseq.of_strings [ "00" ])
-      c fault
+    Bist_tgen.Directed.search ~config ~rng ~good:(Bist_fault.Fsim.frontier_good f)
+      ~faulty:(Bist_fault.Fsim.frontier_state f 0) c fault
   in
   (* population evals + at most generations * (population - elite) more *)
   Alcotest.(check bool) "bounded evaluations" true

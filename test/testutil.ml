@@ -6,6 +6,17 @@ module T = Bist_logic.Ternary
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* A checked-in example BLIF file: `dune runtest` runs from the test
+   directory (test/dune declares the files as deps), a direct `dune exec
+   test/test_main.exe` from the repo root. *)
+let corpus_path f =
+  let candidates =
+    [ Filename.concat (Filename.concat ".." "examples") f; Filename.concat "examples" f ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "BLIF corpus file %s not found" f
+
 (* QCheck generators *)
 
 let ternary_gen = QCheck.Gen.oneofl [ T.Zero; T.One; T.X ]
