@@ -233,7 +233,8 @@ val event_steps : t -> int
     sequence and at the step it detects the fault, i.e. some primary
     output carries a binary value in its fault-free lane and the
     complement in its faulty lane. A stopped candidate's lanes keep the
-    state that step left, and nothing it reads after counts.
+    state that step left; what they compute in later steps, from X
+    inputs, is never reported.
 
     Exactness: lanes are independent bitwise, so each candidate's two
     lanes compute what a one-fault simulation of that candidate alone
@@ -243,7 +244,7 @@ val event_steps : t -> int
     mode; forces stay installed throughout. *)
 
 val max_candidates : int
-(** 31: two lanes per candidate. *)
+(** 31: two lanes per candidate in a 63-lane word (lane 62 is unused). *)
 
 val faulty_lanes : int
 (** The lane mask of the candidates' faulty machines, lanes
