@@ -1,6 +1,6 @@
 (* bistd: the crash-safe multi-tenant generation daemon and its client.
-   `serve` runs the daemon; `submit`, `ping`, `stats`, `shutdown` and
-   `quarantine` talk to it; `chaos` is the fault-injection harness for
+   `serve` runs the daemon; `submit`, `wait`, `ping`, `stats`, `shutdown`
+   and `quarantine` talk to it; `chaos` is the fault-injection harness for
    the daemon itself — truncated frames, garbage frames, pathologically
    slow clients, hostile netlist payloads — and asserts the daemon keeps
    serving through all of them. *)
@@ -122,6 +122,29 @@ let spec_of_args job circuit payload seed directed trials vectors_file count n =
     err "unknown job kind %S (expected tgen, faultsim or inject)" other;
     exit 2
 
+(* A job's terminal reply: its result on stdout or in [output], or why
+   it has none on stderr. *)
+let report_verdict output = function
+  | Protocol.Result { id; output = text } ->
+    (match output with
+    | None -> print_string text
+    | Some path ->
+      Bist_resilience.Atomic_io.write_file ~path text;
+      Printf.eprintf "job %d done, wrote %s\n" id path);
+    0
+  | Protocol.Failed { id; reason } ->
+    err "job %d failed: %s" id reason;
+    1
+  | Protocol.Quarantined { id; reason } ->
+    err "job %d quarantined: %s" id reason;
+    1
+  | Protocol.Error { message } ->
+    err "%s" message;
+    1
+  | _ ->
+    err "protocol: unexpected reply to Wait";
+    1
+
 let submit host port job circuit payload seed directed trials vectors_file
     count n tenant deadline wait output =
   let spec =
@@ -138,22 +161,7 @@ let submit host port job circuit payload seed directed trials vectors_file
         | Result.Error (reason, message) ->
           err "rejected (%s): %s" (Protocol.reject_reason_name reason) message;
           1
-        | Result.Ok (id, Protocol.Result { output = text; _ }) ->
-          (match output with
-          | None -> print_string text
-          | Some path ->
-            Bist_resilience.Atomic_io.write_file ~path text;
-            Printf.eprintf "job %d done, wrote %s\n" id path);
-          0
-        | Result.Ok (id, Protocol.Failed { reason; _ }) ->
-          err "job %d failed: %s" id reason;
-          1
-        | Result.Ok (id, Protocol.Quarantined { reason; _ }) ->
-          err "job %d quarantined: %s" id reason;
-          1
-        | Result.Ok (_, _) ->
-          err "protocol: unexpected reply to Wait";
-          1
+        | Result.Ok (_, reply) -> report_verdict output reply
       else
         match Client.request c (Protocol.Submit { tenant; deadline; spec }) with
         | Protocol.Accepted { id } ->
@@ -165,6 +173,10 @@ let submit host port job circuit payload seed directed trials vectors_file
         | _ ->
           err "protocol: unexpected reply to Submit";
           1)
+
+let wait host port id output =
+  with_client host port (fun c ->
+      report_verdict output (Client.request c (Protocol.Wait { id })))
 
 let ping host port =
   with_client host port (fun c ->
@@ -524,6 +536,19 @@ let submit_cmd =
       $ payload $ seed $ directed $ trials $ vectors $ count $ n $ tenant
       $ deadline $ wait $ output)
 
+let wait_cmd =
+  let id = Arg.(required & pos 0 (some int) None & info [] ~docv:"ID" ~doc:"Job id.")
+  and output =
+    Arg.(value & opt (some string) None
+         & info [ "o"; "output" ] ~docv:"FILE"
+             ~doc:"Write the result here instead of stdout.")
+  in
+  Cmd.v
+    (Cmd.info "wait"
+       ~doc:"Block until a submitted job finishes and print its result; the \
+             daemon answers for live jobs and its 64 most recently finished ones")
+    Term.(const wait $ host_arg $ port_arg ~default:7427 $ id $ output)
+
 let ping_cmd =
   Cmd.v (Cmd.info "ping" ~doc:"Round-trip liveness check")
     Term.(const ping $ host_arg $ port_arg ~default:7427)
@@ -569,7 +594,7 @@ let () =
   in
   let group =
     Cmd.group info
-      [ serve_cmd; submit_cmd; ping_cmd; stats_cmd; shutdown_cmd;
+      [ serve_cmd; submit_cmd; wait_cmd; ping_cmd; stats_cmd; shutdown_cmd;
         quarantine_cmd; chaos_cmd ]
   in
   match Cmd.eval' ~catch:false ~term_err:2 group with

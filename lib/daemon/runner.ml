@@ -95,18 +95,19 @@ let legs ~interval ~cancel ~save ~run resume0 =
    bistgen --checkpoint — a daemon job and a CLI run can even resume
    each other's files. *)
 
+(* Daemon jobs keep the SAT tail off: the job protocol predates it and
+   the defaults must stay bit-identical. *)
+let tgen_params ~seed ~directed ~trials =
+  { Bist_tgen.Run.seed; directed; trials; sat_budget = 0; sat_frames = 8;
+    sat_conflicts = Bist_sat.Satgen.default_conflicts }
+
 let run_tgen ~obs ~checkpoint ~interval ~cancel ~circuit:spec ~seed ~directed
     ~trials =
   let circuit = resolve_circuit spec in
   let name = Bist_circuit.Netlist.circuit_name circuit in
   let fingerprint = fingerprint_of spec circuit in
   let universe = Bist_fault.Universe.collapsed circuit in
-  (* Daemon jobs keep the SAT tail off: the job protocol predates it
-     and the defaults must stay bit-identical. *)
-  let params =
-    { Bist_tgen.Run.seed; directed; trials; sat_budget = 0; sat_frames = 8;
-      sat_conflicts = Bist_sat.Satgen.default_conflicts }
-  in
+  let params = tgen_params ~seed ~directed ~trials in
   let resume0 =
     load_checkpoint ~kind:"tgen" ~circuit:name ~fingerprint ~path:checkpoint
       (Bist_tgen.Run.decode_payload params)
@@ -127,6 +128,11 @@ let run_tgen ~obs ~checkpoint ~interval ~cancel ~circuit:spec ~seed ~directed
 
 (* inject: a single-circuit hardened campaign; the payload is the
    parameter echo plus the completed-trial list (Campaign's own codec). *)
+
+let inject_config ~seed ~count ~n =
+  if count < 1 then bad "inject count %d must be >= 1" count;
+  if n < 1 then bad "inject n %d must be >= 1" n;
+  { Campaign.default_config with seed; count; n }
 
 let encode_inject_payload ~(config : Campaign.config) trials =
   let w = Io.writer () in
@@ -154,12 +160,10 @@ let decode_inject_payload ~(config : Campaign.config) payload =
   trials
 
 let run_inject ~obs ~checkpoint ~interval ~cancel ~circuit:spec ~seed ~count ~n =
-  if count < 1 then bad "inject count %d must be >= 1" count;
-  if n < 1 then bad "inject n %d must be >= 1" n;
+  let config = inject_config ~seed ~count ~n in
   let circuit = resolve_circuit spec in
   let name = Bist_circuit.Netlist.circuit_name circuit in
   let fingerprint = fingerprint_of spec circuit in
-  let config = { Campaign.default_config with seed; count; n } in
   let resume0 =
     load_checkpoint ~kind:"inject" ~circuit:name ~fingerprint ~path:checkpoint
       (decode_inject_payload ~config)
@@ -212,22 +216,14 @@ let run_job ?(obs = Bist_obs.Obs.null) ~checkpoint ~interval ~cancel spec =
 let run_once ?(obs = Bist_obs.Obs.null) spec =
   match spec with
   | Protocol.Tgen { circuit; seed; directed; trials } ->
-    let circuit = resolve_circuit circuit in
-    let universe = Bist_fault.Universe.collapsed circuit in
-    (* Daemon jobs keep the SAT tail off: the job protocol predates it
-     and the defaults must stay bit-identical. *)
-  let params =
-    { Bist_tgen.Run.seed; directed; trials; sat_budget = 0; sat_frames = 8;
-      sat_conflicts = Bist_sat.Satgen.default_conflicts }
-  in
+    let universe = Bist_fault.Universe.collapsed (resolve_circuit circuit) in
+    let params = tgen_params ~seed ~directed ~trials in
     let t0, _, _ = Bist_tgen.Run.execute ~obs params universe in
     Bist_harness.Seq_io.to_string t0
   | Protocol.Inject { circuit; seed; count; n } ->
-    if count < 1 then bad "inject count %d must be >= 1" count;
-    if n < 1 then bad "inject n %d must be >= 1" n;
+    let config = inject_config ~seed ~count ~n in
     let circuit = resolve_circuit circuit in
     let name = Bist_circuit.Netlist.circuit_name circuit in
-    let config = { Campaign.default_config with seed; count; n } in
     Bist_harness.Inject_report.summary [ Campaign.run ~config ~obs ~name circuit ]
   | Protocol.Faultsim { circuit; vectors } ->
     faultsim_output ~obs ~ctl:None ~circuit ~vectors

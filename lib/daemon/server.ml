@@ -94,6 +94,7 @@ type t = {
   obs : Obs.t;
   clients : (Unix.file_descr, client) Hashtbl.t;
   jobs : (int, job) Hashtbl.t;
+  finished : int Queue.t;  (** Done and Failed jobs still in [jobs], oldest first. *)
   queue : int Admission.t;
   workers : (int, worker) Hashtbl.t;  (** Keyed by pid. *)
   drain : Cancel.t;
@@ -307,24 +308,44 @@ let notify_waiters t job resp =
     job.waiters;
   job.waiters <- []
 
+(* A finished job's verdict is in memory and the manifest never
+   re-admits it, so none of its spool files is read again. *)
+let retire t job =
+  remove_quietly (ckpt_path t job.id);
+  remove_quietly (out_path t job.id);
+  remove_quietly (err_path t job.id);
+  Queue.push job.id t.finished;
+  t.manifest_dirty <- true
+
 let finish_job t job output =
   job.state <- Done { output };
   job_metric t "completed" job;
   Obs.observe t.obs ("latency_s." ^ job.tenant)
     (Unix.gettimeofday () -. job.submitted);
   notify_waiters t job (Protocol.Result { id = job.id; output });
-  remove_quietly (ckpt_path t job.id);
-  remove_quietly (err_path t job.id);
-  t.manifest_dirty <- true;
+  retire t job;
   log t "job %d done (%s/%s)" job.id job.tenant (Protocol.spec_name job.spec)
 
 let fail_job t job reason =
   job.state <- Failed { reason };
   job_metric t "failed" job;
   notify_waiters t job (Protocol.Failed { id = job.id; reason });
-  remove_quietly (ckpt_path t job.id);
-  t.manifest_dirty <- true;
+  retire t job;
   log t "job %d failed: %s" job.id reason
+
+(* Status and Wait answer for the [retained] most recently finished
+   jobs; older ones are forgotten, oldest first, and then get "unknown
+   job id". [Client.submit_and_wait] sends its Wait as soon as the job
+   is accepted, so it misses the result only if [retained] other jobs
+   finish in between. Quarantined jobs are kept until released. This
+   runs from the event loop, not from [retire], because [fire_timers]
+   retires jobs while it iterates over [jobs]. *)
+let retained = 64
+
+let forget_finished t =
+  while Queue.length t.finished > retained do
+    Hashtbl.remove t.jobs (Queue.pop t.finished)
+  done
 
 (* Fork one worker for a job. The child shares no descriptors with the
    event loop except the write end of its supervision pipe: EOF on the
@@ -808,6 +829,7 @@ let run ?on_ready cfg =
       obs = Obs.create ();
       clients = Hashtbl.create 16;
       jobs = Hashtbl.create 64;
+      finished = Queue.create ();
       queue = Admission.create ?per_tenant:cfg.per_tenant ~capacity:cfg.queue_capacity ();
       workers = Hashtbl.create 8;
       drain = Cancel.create ();
@@ -835,6 +857,7 @@ let run ?on_ready cfg =
     if Cancel.requested t.drain then start_drain t;
     fire_timers t;
     dispatch t;
+    forget_finished t;
     if t.manifest_dirty then write_manifest t;
     if t.draining && Hashtbl.length t.workers = 0 then finished := true
     else begin

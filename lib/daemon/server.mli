@@ -22,7 +22,11 @@
       blocks itself — all socket IO is non-blocking and buffered;
     - SIGTERM drains gracefully: workers checkpoint and park their jobs,
       the manifest is written, and a restarted daemon picks the queue
-      back up. A second signal force-quits (exit 130).
+      back up. A second signal force-quits (exit 130);
+    - a finished job leaves no file in the spool, and [Status] and
+      [Wait] answer for the 64 most recently finished jobs only (older
+      ones get ["unknown job id"]), so the daemon's memory does not grow
+      with the number of jobs it has served.
 
     Untrusted-payload contracts (protocol v2):
     - the event loop {e never} parses an inline netlist payload; only a

@@ -453,8 +453,6 @@ let run ?(obs = Obs.null) ?(counters = "fsim") ?pool ?ctl ?targets ?block
     if work.rejoined > 0 then Obs.count obs ~by:work.rejoined (name "rejoined_lanes");
     if work.recorded > 0 then Obs.count obs ~by:work.recorded (name "recorded_lanes");
     Obs.count obs ~by:(Ppsfp.evaluations sim) (name "evaluations");
-    Obs.count obs ~by:(Ppsfp.full_steps sim) (name "full_steps");
-    Obs.count obs ~by:(Ppsfp.event_steps sim) (name "event_steps");
     ({ Shard.ids; det_time }, recordings, tr, work.rejoined)
   in
   let pieces =
@@ -564,8 +562,6 @@ let single_work s =
     ("group_steps", s.s_steps);
     ("skipped_steps", s.s_skipped);
     ("evaluations", Ppsfp.evaluations s.sim);
-    ("full_steps", Ppsfp.full_steps s.sim);
-    ("event_steps", Ppsfp.event_steps s.sim);
     ("trace_steps", s.s_trace_steps);
     ("trace_copies", s.s_trace_copies);
   ]

@@ -161,7 +161,7 @@ val run :
 
     [obs] (default {!Bist_obs.Obs.null}, a no-op) records one
     ["fsim.shard"] span per shard, tagged with the executing domain's id
-    and the shard's fault count. It adds the run's work to twelve
+    and the shard's fault count. It adds the run's work to ten
     counters: ["fsim.groups"] (62-fault groups), ["fsim.group_steps"]
     (time steps simulated, summed over groups; jumped steps excluded),
     ["fsim.skipped_steps"] (the group-steps jumped past recurring
@@ -171,9 +171,6 @@ val run :
     ["fsim.recorded_lanes"] (lane states recorded for [record]),
     ["fsim.evaluations"] (the faulty machines' gate
     evaluations, {!Bist_sim.Ppsfp.evaluations} summed over shards),
-    ["fsim.full_steps"] and ["fsim.event_steps"] (the group-steps run as
-    a full sweep and as an event sweep, {!Bist_sim.Ppsfp.full_steps} and
-    {!Bist_sim.Ppsfp.event_steps} summed over shards),
     ["fsim.trace_steps"] (the fault-free steps a sequential run
     materialises, as many as its longest group reaches; each shard of a
     pooled run materialises its own trace, which this count does not add
@@ -181,9 +178,9 @@ val run :
     states count too) and ["fsim.trace_copies"] (how many of those were
     copied instead of swept). [counters] (default ["fsim"]) replaces
     the ["fsim"] of the span and counter names, so a caller can count a
-    run's work apart. All twelve are the same at every pool width: groups are
-    cut the same way, the sweep mode is chosen per group from that
-    group's own activity, and copies depend only on the sequence.
+    run's work apart. All ten are the same at every pool width: groups are
+    cut the same way, a group's work depends only on its own faults, and
+    copies depend only on the sequence.
 
     [ctl] (default: none) is polled between 62-fault groups inside every
     shard — including on worker domains — and raises
@@ -227,9 +224,8 @@ val single_detection_time : ?block:int -> single -> Bist_logic.Tseq.t -> int opt
 val single_work : single -> (string * int) list
 (** The work of every call on this [single] so far, named as {!run}'s
     counters without their prefix: ["group_steps"], ["skipped_steps"],
-    ["evaluations"], ["full_steps"], ["event_steps"], ["trace_steps"]
-    (steps materialised, summed over the sequences) and
-    ["trace_copies"]. *)
+    ["evaluations"], ["trace_steps"] (steps materialised, summed over
+    the sequences) and ["trace_copies"]. *)
 
 val detects : Bist_circuit.Netlist.t -> Fault.t -> Bist_logic.Tseq.t -> bool
 (** One-shot convenience wrapper around {!single}. *)

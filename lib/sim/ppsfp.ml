@@ -75,11 +75,9 @@ let table =
    evaluation reads and writes one 64-byte record of its own.
    - [f_stamp]: the step whose planes [f_ones]/[f_zeros] hold;
    - [f_sched]: the step the node was last scheduled in;
-   - [f_info]: kind code, force flags, and (from bit 8) the number of
-     flip-flops among the node's consumers;
+   - [f_info]: kind code and force flags;
    - [f_fan], [f_fo]: first edge [lsl span_shift] plus count, into
-     [fan] (fanins, in netlist pin order) and [fo] (consumers,
-     combinational first, flip-flops last);
+     [fan] (fanins, in netlist pin order) and [fo] (consumers);
    - [f_level]: the scheduling bucket, the level for a combinational
      node and [max_level + 1] (the clock) for a flip-flop. *)
 let stride = 8
@@ -93,7 +91,6 @@ let f_fo = 6
 let f_level = 7
 let out_forced = 16
 let pin_forced = 32
-let ff_shift = 8
 let span_shift = 24
 let span_mask = (1 lsl span_shift) - 1
 
@@ -137,14 +134,13 @@ type t = {
   mutable n_forced : int;
   (* the per-step work of the forces, rebuilt at the first step after
      they change: the output-forced inputs and flip-flops to seed, and
-     one [(site, node, codes)] triple per other force, flip-flops first,
-     that schedules [node] when the trace code of [site] is in the bit
-     set [codes]; all of them only for forces with live lanes *)
+     one [(site, node, codes)] triple per other force that schedules
+     [node] when the trace code of [site] is in the bit set [codes];
+     all of them only for forces with live lanes *)
   mutable seeds : int array;
   mutable n_seeds : int;
   mutable act : int array;
   mutable n_act : int;
-  mutable n_act_ffs : int;
   mutable stale : bool;
   (* step-local registers *)
   mutable step_id : int;
@@ -155,14 +151,7 @@ type t = {
   mutable acc_z : int;
   mutable rd_o : int;
   mutable rd_z : int;
-  (* hybrid mode control *)
-  mutable full_mode : bool;
-  activity : float array;
-      (* EWMA of evaluated-gate fraction, in one float-array cell so that
-         an update allocates nothing *)
-  mutable evals : int;
-  mutable n_full_steps : int;
-  mutable n_event_steps : int;
+  mutable evals : int; (* gate evaluations since [create] *)
   (* the state at the last [mark]: lane 0's code per flip-flop, and the
      planes of the flip-flops dirty then, stamped [mark_id] *)
   mutable marked : bool;
@@ -232,21 +221,10 @@ let create circuit =
     for j = 0 to Array.length fi - 1 do
       fan.(!e_fan + j) <- of_netlist.(fi.(j))
     done;
-    (* consumers: gates from the front, flip-flops from the back *)
-    let lo = ref !e_fo and hi = ref (!e_fo + Array.length fos) in
     for j = 0 to Array.length fos - 1 do
-      let c = of_netlist.(fos.(j)) in
-      if c >= comb_base then begin
-        fo.(!lo) <- c;
-        incr lo
-      end
-      else begin
-        decr hi;
-        fo.(!hi) <- c
-      end
+      fo.(!e_fo + j) <- of_netlist.(fos.(j))
     done;
-    node.(b + f_info) <-
-      kind_code (Netlist.kind circuit g) lor ((!e_fo + Array.length fos - !hi) lsl ff_shift);
+    node.(b + f_info) <- kind_code (Netlist.kind circuit g);
     node.(b + f_fan) <- (!e_fan lsl span_shift) lor Array.length fi;
     node.(b + f_fo) <- (!e_fo lsl span_shift) lor Array.length fos;
     node.(b + f_level) <- (if v >= comb_base then level.(g) else max_level + 1);
@@ -321,7 +299,6 @@ let create circuit =
     n_seeds = 0;
     act = [||];
     n_act = 0;
-    n_act_ffs = 0;
     stale = false;
     step_id = 0;
     trd = Bytes.empty;
@@ -331,11 +308,7 @@ let create circuit =
     acc_z = 0;
     rd_o = 0;
     rd_z = 0;
-    full_mode = false;
-    activity = [| 0.0 |];
     evals = 0;
-    n_full_steps = 0;
-    n_event_steps = 0;
     marked = false;
     mark_id = 0;
     mark_dirty = 0;
@@ -352,8 +325,6 @@ let create circuit =
 
 let circuit t = t.circuit
 let evaluations t = t.evals
-let full_steps t = t.n_full_steps
-let event_steps t = t.n_event_steps
 let po_diff_lanes t = t.diff_lanes
 
 (* --- the fault-free trace ------------------------------------------- *)
@@ -636,8 +607,6 @@ let clear_forces t =
 
 let rearm t =
   t.diff_lanes <- 0;
-  t.full_mode <- false;
-  t.activity.(0) <- 0.0;
   t.marked <- false;
   t.cand_running <- 0;
   t.cand_detected <- 0
@@ -924,9 +893,7 @@ let[@inline] schedule t v =
     Array.unsafe_set t.bucket_len lv (len + 1)
   end
 
-(* A deviating word reaches the node's consumers: every one in event
-   mode, only the flip-flops (the end of the span) in full-sweep mode,
-   where every gate runs anyway. *)
+(* A deviating word schedules every consumer of the node. *)
 let propagate t v =
   let span = Array.unsafe_get t.node ((v * stride) + f_fo) in
   let off = span lsr span_shift in
@@ -934,17 +901,8 @@ let propagate t v =
     schedule t (Array.unsafe_get t.fo e)
   done
 
-let propagate_ffs t v =
-  let b = v * stride in
-  let span = Array.unsafe_get t.node (b + f_fo) in
-  let stop = (span lsr span_shift) + (span land span_mask) in
-  for e = stop - (Array.unsafe_get t.node (b + f_info) lsr ff_shift) to stop - 1 do
-    schedule t (Array.unsafe_get t.fo e)
-  done
-
 let seed_source t v o z =
-  if store t v (Array.unsafe_get t.node ((v * stride) + f_info)) o z then
-    if t.full_mode then propagate_ffs t v else propagate t v
+  if store t v (Array.unsafe_get t.node ((v * stride) + f_info)) o z then propagate t v
 
 (* The step's sources: the dirty flip-flops' state, then every
    output-forced input or flip-flop not seeded yet (a clean one from its
@@ -991,31 +949,22 @@ let rebuild t =
   t.n_seeds <- 0;
   for k = 0 to t.n_forced - 1 do
     let v = t.forced.(k) in
-    if v < t.comb_base then add_pin_acts t v
-  done;
-  t.n_act_ffs <- t.n_act;
-  for k = 0 to t.n_forced - 1 do
-    let v = t.forced.(k) in
-    if v >= t.comb_base then begin
-      add_act t v v (disagreeing t.out_f1.(v) t.out_f0.(v));
-      add_pin_acts t v
-    end
+    if v >= t.comb_base then add_act t v v (disagreeing t.out_f1.(v) t.out_f0.(v))
     else if t.out_f1.(v) lor t.out_f0.(v) <> 0 then begin
       t.seeds <- room t.seeds t.n_seeds;
       t.seeds.(t.n_seeds) <- v;
       t.n_seeds <- t.n_seeds + 1
-    end
+    end;
+    add_pin_acts t v
   done;
   t.stale <- false
 
 (* A forced node none of whose fanins deviates computes the fault-free
    value in every lane unless one of its forces disagrees with the value
-   it overrides: schedule the others, the flip-flops into the clock.
-   [stop] is [n_act_ffs] in full-sweep mode, where every gate runs
-   anyway. *)
-let activate t stop =
+   it overrides: schedule the others, the flip-flops into the clock. *)
+let activate t =
   let act = t.act in
-  for k = 0 to stop - 1 do
+  for k = 0 to t.n_act - 1 do
     let j = 3 * k in
     if (Array.unsafe_get act (j + 2) lsr code t (Array.unsafe_get act j)) land 1 <> 0 then
       schedule t (Array.unsafe_get act (j + 1))
@@ -1033,16 +982,6 @@ let step_event t =
       done
     end
   done
-
-let step_full t =
-  let dirty = ref 0 in
-  for v = t.comb_base to t.n - 1 do
-    if eval_node t v then begin
-      incr dirty;
-      propagate_ffs t v
-    end
-  done;
-  !dirty
 
 let detect t =
   let diff = ref 0 in
@@ -1080,12 +1019,6 @@ let clock t =
   done;
   t.stepped <- true
 
-(* Hybrid control: EWMA of per-step activity, with hysteresis so the
-   mode doesn't flap. Mode changes never change values — both modes
-   compute identical planes — only which gates get visited. *)
-let to_full = 0.55
-let to_event = 0.25
-
 let step t tr u =
   if not (tr.tr_circuit == t.circuit) then
     invalid_arg "Ppsfp.step: trace belongs to a different circuit";
@@ -1095,25 +1028,8 @@ let step t tr u =
   t.step_id <- t.step_id + 1;
   if t.stale then rebuild t;
   seed t;
-  activate t (if t.full_mode then t.n_act_ffs else t.n_act);
-  let active =
-    if t.full_mode then begin
-      t.n_full_steps <- t.n_full_steps + 1;
-      step_full t
-    end
-    else begin
-      t.n_event_steps <- t.n_event_steps + 1;
-      let before = t.evals in
-      step_event t;
-      t.evals - before
-    end
-  in
-  let act = float_of_int active /. float_of_int (max 1 (t.n - t.comb_base)) in
-  t.activity.(0) <- (0.7 *. t.activity.(0)) +. (0.3 *. act);
-  if t.full_mode then begin
-    if t.activity.(0) < to_event then t.full_mode <- false
-  end
-  else if t.activity.(0) > to_full then t.full_mode <- true;
+  activate t;
+  step_event t;
   detect t;
   clock t
 

@@ -28,9 +28,6 @@
       sources, and clocks only the flip-flops whose D input deviates or
       whose D-pin force is activated. Every other flip-flop is the
       broadcast of its good value, read from the trace;
-    - when measured activity says most of the circuit is live anyway, the
-      step switches to a {e compiled} full sweep and back once activity
-      decays — the hybrid is self-tuning per group;
     - {!drop_lanes} retires detected faults mid-sequence: their forces
       are masked out and their flip-flop lanes snap back to the good
       machine, so a detected fault stops generating events;
@@ -143,8 +140,8 @@ val add_pin_force :
 val clear_forces : t -> unit
 
 val reset : t -> unit
-(** Every flip-flop of every lane back to X; re-arms event mode. Forces
-    stay installed. *)
+(** Every flip-flop of every lane back to X; clears the detection mask
+    and the {!mark}. Forces stay installed. *)
 
 val step : t -> trace -> int -> unit
 (** [step t trace u] applies time step [u] of the trace's sequence to all
@@ -186,7 +183,8 @@ val recurs : t -> bool
 
 val load : t -> Bytes.t -> unit
 (** Put every lane's flip-flops in the state given by the codes, and
-    re-arm event mode as {!reset} does; forces stay installed. The
+    clear the detection mask and the {!mark} as {!reset} does; forces
+    stay installed. The
     first step then reads a trace started from the same codes
     ({!trace}[ ~start]). *)
 
@@ -213,12 +211,6 @@ val drop_lanes : t -> int -> unit
 val evaluations : t -> int
 (** Cumulative gate evaluations — the activity measure benchmarks and
     tests use to see the event core actually skipping work. *)
-
-val full_steps : t -> int
-(** Steps executed in compiled full-sweep mode since creation. *)
-
-val event_steps : t -> int
-(** Steps executed in event-driven mode since creation. *)
 
 (** {2 Candidate lanes}
 

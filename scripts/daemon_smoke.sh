@@ -23,6 +23,9 @@
 #     co-tenant job completes untouched; the quarantine survives a
 #     daemon restart, and an operator release lets the job resume from
 #     its kept checkpoint to a bit-identical result.
+#  8. Finished jobs: more jobs than the daemon remembers leave no result
+#     file in the spool; the newest still answers Wait with its result,
+#     the oldest answers "unknown job id".
 #
 # Run from the repo root (the Makefile does): ./scripts/daemon_smoke.sh
 
@@ -136,16 +139,12 @@ daemon_pid=""
 start_daemon --workers 1
 grep -q "recovered job" "$work/daemon.log" \
   || fail "restarted daemon recovered nothing"
-for _ in $(seq 1 200); do
-  [ -f "$work/spool/job-1.out" ] && [ -f "$work/spool/job-2.out" ] && break
-  sleep 0.1
+for id in 1 2; do
+  timeout 20 "$BISTD" wait "$id" --port "$port" -o "$work/rec$id.seq" 2>/dev/null \
+    || fail "recovered job $id never finished"
+  cmp -s "$work/ref.seq" "$work/rec$id.seq" \
+    || fail "recovered job $id differs from the uninterrupted run"
 done
-[ -f "$work/spool/job-1.out" ] || fail "recovered job 1 never finished"
-[ -f "$work/spool/job-2.out" ] || fail "recovered job 2 never finished"
-cmp -s "$work/ref.seq" "$work/spool/job-1.out" \
-  || fail "recovered job 1 differs from the uninterrupted run"
-cmp -s "$work/ref.seq" "$work/spool/job-2.out" \
-  || fail "recovered job 2 differs from the uninterrupted run"
 "$BISTD" shutdown --port "$port" >/dev/null
 wait "$daemon_pid"; daemon_pid=""
 say "SIGTERMed daemon: jobs parked, recovered on restart, bit-identical"
@@ -230,15 +229,40 @@ start_daemon --workers 1   # no CPU limit: the released job must finish
   || fail "quarantine did not survive the restart"
 "$BISTD" quarantine release "$poison_id" --port "$port" | grep -q "released job $poison_id" \
   || fail "quarantine release refused"
-for _ in $(seq 1 200); do
-  [ -f "$work/spool/job-$poison_id.out" ] && break
-  sleep 0.1
-done
-[ -f "$work/spool/job-$poison_id.out" ] || fail "released job never finished"
-cmp -s "$work/pref3.seq" "$work/spool/job-$poison_id.out" \
+timeout 20 "$BISTD" wait "$poison_id" --port "$port" -o "$work/released.seq" 2>/dev/null \
+  || fail "released job never finished"
+cmp -s "$work/pref3.seq" "$work/released.seq" \
   || fail "released job's result differs from the local bistgen run"
 "$BISTD" shutdown --port "$port" >/dev/null
 wait "$daemon_pid"; daemon_pid=""
 say "poison job: quarantined after 3 crashes, survived restart, released, bit-identical"
+
+# --- 8. finished jobs: no spool files, only the newest remembered ----
+
+# 70 cheap faultsim jobs, more than the 64 finished jobs the daemon
+# remembers (lib/daemon/server.ml `retained`).
+rm -rf "$work/spool"
+"$BISTGEN" tgen s27 --seed 7 -o "$work/s27.seq" >/dev/null \
+  || fail "could not generate the s27 vectors"
+start_daemon --workers 2
+jobs=70
+for i in $(seq 1 $jobs); do
+  "$BISTD" submit faultsim s27 --vectors "$work/s27.seq" --port "$port" --wait \
+    > "$work/fs.out" 2>/dev/null || fail "faultsim job $i failed"
+done
+left=$(find "$work/spool" -name 'job-*.out' -o -name 'job-*.err' | wc -l)
+[ "$left" -eq 0 ] || fail "$left result file(s) of finished jobs left in the spool"
+"$BISTD" wait "$jobs" --port "$port" > "$work/newest.out" 2>/dev/null \
+  || fail "newest job $jobs does not answer Wait"
+cmp -s "$work/fs.out" "$work/newest.out" \
+  || fail "newest job's Wait result differs from its submit result"
+if "$BISTD" wait 1 --port "$port" >/dev/null 2> "$work/oldest.err"; then
+  fail "oldest job 1 still answers Wait"
+fi
+grep -q "unknown job id 1" "$work/oldest.err" \
+  || fail "oldest job: $(cat "$work/oldest.err")"
+"$BISTD" shutdown --port "$port" >/dev/null
+wait "$daemon_pid"; daemon_pid=""
+say "finished jobs: no result files left, newest of $jobs answers Wait, oldest forgotten"
 
 say "PASS"

@@ -348,16 +348,13 @@ let test_work_counters () =
   let base = x298_counters 1 in
   Alcotest.(check (list (pair string int)))
     "select x298 -n 4"
-    [ ("fsim.dropped_lanes", 1579); ("fsim.evaluations", 45956);
-      ("fsim.event_steps", 1676); ("fsim.full_steps", 115); ("fsim.group_steps", 1791);
+    [ ("fsim.dropped_lanes", 1579); ("fsim.evaluations", 38518); ("fsim.group_steps", 1791);
       ("fsim.groups", 43); ("fsim.skipped_steps", 655); ("fsim.trace_copies", 343);
       ("fsim.trace_steps", 1059); ("postprocess.time_units", 1568);
-      ("proc1.sequences", 6); ("proc2.evaluations", 2177); ("proc2.event_steps", 1937);
-      ("proc2.full_steps", 0); ("proc2.group_steps", 1937); ("proc2.simulations", 47);
-      ("proc2.skipped_steps", 1409); ("proc2.time_units", 4160);
+      ("proc1.sequences", 6); ("proc2.evaluations", 2177); ("proc2.group_steps", 1937);
+      ("proc2.simulations", 47); ("proc2.skipped_steps", 1409); ("proc2.time_units", 4160);
       ("proc2.trace_copies", 1269); ("proc2.trace_steps", 3206);
-      ("verify.dropped_lanes", 351); ("verify.evaluations", 14154);
-      ("verify.event_steps", 516); ("verify.full_steps", 37); ("verify.group_steps", 553);
+      ("verify.dropped_lanes", 351); ("verify.evaluations", 11863); ("verify.group_steps", 553);
       ("verify.groups", 11); ("verify.skipped_steps", 123); ("verify.time_units", 416);
       ("verify.trace_copies", 102); ("verify.trace_steps", 347) ]
     (snd base);
