@@ -31,9 +31,9 @@ let submit_and_wait t ~tenant ?deadline spec =
   match request t (Protocol.Submit { tenant; deadline; spec }) with
   | Protocol.Rejected { reason; message } -> Result.Error (reason, message)
   | Protocol.Accepted { id } ->
-    (* Wait goes out immediately on the same connection: the daemon
-       defers the reply until the job is terminal, so there is no window
-       in which the result could be missed. *)
+    (* Wait goes out at once on the same connection, and the daemon
+       defers the reply until the job is terminal: the result is missed
+       only if [Server.retained] other jobs finish in between. *)
     Frame.write_frame t.fd (Protocol.encode_request (Protocol.Wait { id }));
     Result.Ok (id, read_reply t)
   | other ->

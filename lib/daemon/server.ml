@@ -322,15 +322,15 @@ let finish_job t job output =
   job_metric t "completed" job;
   Obs.observe t.obs ("latency_s." ^ job.tenant)
     (Unix.gettimeofday () -. job.submitted);
-  notify_waiters t job (Protocol.Result { id = job.id; output });
   retire t job;
+  notify_waiters t job (Protocol.Result { id = job.id; output });
   log t "job %d done (%s/%s)" job.id job.tenant (Protocol.spec_name job.spec)
 
 let fail_job t job reason =
   job.state <- Failed { reason };
   job_metric t "failed" job;
-  notify_waiters t job (Protocol.Failed { id = job.id; reason });
   retire t job;
+  notify_waiters t job (Protocol.Failed { id = job.id; reason });
   log t "job %d failed: %s" job.id reason
 
 (* Status and Wait answer for the [retained] most recently finished

@@ -139,8 +139,11 @@ daemon_pid=""
 start_daemon --workers 1
 grep -q "recovered job" "$work/daemon.log" \
   || fail "restarted daemon recovered nothing"
+deadline=$((SECONDS + 20))   # one 20 s bound for both jobs
 for id in 1 2; do
-  timeout 20 "$BISTD" wait "$id" --port "$port" -o "$work/rec$id.seq" 2>/dev/null \
+  left=$((deadline - SECONDS))
+  [ "$left" -gt 0 ] || fail "recovered job $id never finished"
+  timeout "$left" "$BISTD" wait "$id" --port "$port" -o "$work/rec$id.seq" 2>/dev/null \
     || fail "recovered job $id never finished"
   cmp -s "$work/ref.seq" "$work/rec$id.seq" \
     || fail "recovered job $id differs from the uninterrupted run"
